@@ -3,7 +3,7 @@
 PR 2 made the chunked SSD scan the default prefill engine, but the quantized
 (LightMamba*) models kept stepping token by token because their custom
 ``ssm_impl`` had no chunk-parallel form.  This benchmark measures what the
-quantized SSD scan (:class:`repro.quant.QuantizedChunkedScan`) buys back, at
+quantized SSD scan (:meth:`repro.quant.QuantizedSSMStep.prefill_scan`) buys back, at
 two granularities on the prefill-bound bench shapes (``d_state = 128``,
 ``headdim = 64``):
 
@@ -38,7 +38,7 @@ import numpy as np
 from repro.bench import format_series
 from repro.mamba import InitConfig, Mamba2Config, Mamba2Model
 from repro.mamba.ssm import SSMParams
-from repro.quant import QuantConfig, QuantMethod, QuantizedChunkedScan, quantize_model
+from repro.quant import QuantConfig, QuantMethod, QuantizedSSMStep, quantize_model
 
 #: Prefill-bound benchmark configuration with the published-scale SSM state
 #: dims; two layers keep the token-by-token quantized baseline affordable.
@@ -111,7 +111,7 @@ def bench_quant_prefill(
     speedup: dict = {}
 
     # Scan kernel: the quantized SSD chunk body vs its chunk_size=1 oracle.
-    scan = QuantizedChunkedScan()
+    scan = QuantizedSSMStep()
     kernel_seq, kernel_chunk = {}, {}
     for seq_len in seq_lens:
         params, x, B, C, dt = _scan_inputs(config, seq_len)

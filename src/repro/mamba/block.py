@@ -18,20 +18,17 @@ the hardware co-design:
   The quantized model uses them for activation fake-quantization and for the
   *online Hadamard transform* inserted before the output projection
   (rotation (3) in Fig. 4a).
-- ``ssm_impl`` -- an alternative implementation of the SSM step with the same
-  signature as :func:`repro.mamba.ssm.ssm_step`; the PoT-quantized SSM plugs
-  in here.  An implementation may advertise two optional capabilities:
-  ``supports_batched`` (a leading batch axis on the step arguments, used by
-  batched decode and the per-token prefill loop) and ``supports_prefill_scan``
-  (a ``prefill_scan`` method with the :func:`repro.mamba.ssm.ssd_chunked_scan`
-  signature, which ``forward`` routes the ``scan_impl="chunked"`` prefill
-  through -- the quantized chunk-parallel fast path).
+- ``ssm_impl`` -- the PoT-quantized SSM plugs in here: a batched step with
+  the :func:`repro.mamba.ssm.ssm_step` signature plus a ``prefill_scan``
+  with the :func:`repro.mamba.ssm.ssd_chunked_scan` signature.  ``forward``
+  calls ``prefill_scan`` for ``scan_impl="chunked"`` and drives the step
+  through :func:`repro.mamba.ssm.ssm_scan` for ``"sequential"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,15 +36,14 @@ from repro.mamba.cache import LayerCache, QuantizedSSMState
 from repro.mamba.config import Mamba2Config
 from repro.mamba.conv1d import CausalConv1d
 from repro.mamba.rmsnorm import GatedRMSNorm, RMSNorm
-from repro.mamba.ssm import SSMParams, ssd_chunked_scan, ssm_scan, ssm_step
+from repro.mamba.ssm import SSMParams, _validate_seq_lens, ssd_chunked_scan, ssm_scan, ssm_step
+
+if TYPE_CHECKING:
+    from repro.quant.ssm_quant import QuantizedSSMStep
 
 __all__ = ["MambaBlock"]
 
 ActivationHook = Callable[[np.ndarray], np.ndarray]
-SSMStepFn = Callable[
-    [SSMParams, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    Tuple[np.ndarray, np.ndarray],
-]
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
@@ -70,7 +66,7 @@ class MambaBlock:
     out_proj_bias: Optional[np.ndarray] = None  # (d_model,), used by OS+ compensation
     pre_in_proj: ActivationHook = field(default=_identity)
     pre_out_proj: ActivationHook = field(default=_identity)
-    ssm_impl: Optional[SSMStepFn] = None
+    ssm_impl: Optional["QuantizedSSMStep"] = None
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -118,10 +114,6 @@ class MambaBlock:
         b = xbc[..., cfg.d_inner : cfg.d_inner + cfg.d_bc]
         c = xbc[..., cfg.d_inner + cfg.d_bc :]
         return x, b, c
-
-    def _ssm_step(self, *args):
-        fn = self.ssm_impl if self.ssm_impl is not None else ssm_step
-        return fn(*args)
 
     # ------------------------------------------------------------------
     # Decode (one token)
@@ -173,24 +165,8 @@ class MambaBlock:
         x, b, c = self._split_xbc(xbc_conv)
         x_heads = x.reshape(x.shape[:-1] + (cfg.nheads, cfg.headdim))
 
-        if (
-            batched
-            and self.ssm_impl is not None
-            and not getattr(self.ssm_impl, "supports_batched", False)
-        ):
-            # Single-sequence custom step function: advance each batch row
-            # independently (batch-capable implementations take the fast path).
-            y_heads = np.empty_like(x_heads)
-            new_ssm_state = np.empty_like(cache.ssm_state)
-            for i in range(u.shape[0]):
-                y_heads[i], new_ssm_state[i] = self.ssm_impl(
-                    self.ssm, x_heads[i], b[i], c[i], dt[i], cache.ssm_state[i]
-                )
-        else:
-            y_heads, new_ssm_state = self._ssm_step(
-                self.ssm, x_heads, b, c, dt, cache.ssm_state
-            )
-        cache.ssm_state = new_ssm_state
+        step_fn = ssm_step if self.ssm_impl is None else self.ssm_impl
+        y_heads, cache.ssm_state = step_fn(self.ssm, x_heads, b, c, dt, cache.ssm_state)
         y = y_heads.reshape(u.shape[:-1] + (cfg.d_inner,))
 
         gated = self.gated_norm(y, z)
@@ -241,11 +217,10 @@ class MambaBlock:
         scan_impl:
             ``"chunked"`` (SSD chunked scan, the fast path) or
             ``"sequential"`` (per-token reference recurrence); defaults to
-            ``config.scan_impl``.  A custom ``ssm_impl`` advertising
-            ``supports_prefill_scan`` (e.g. the quantized chunked scan)
-            serves the ``"chunked"`` path through its own ``prefill_scan``;
-            other custom implementations, and every implementation under
-            ``"sequential"``, step token by token.
+            ``config.scan_impl``.  An installed ``ssm_impl`` serves the
+            ``"chunked"`` path through its own ``prefill_scan``; under
+            ``"sequential"`` its step runs token by token on the float view
+            of the state (the fake-quant oracle for a quantized SSM).
         chunk_size:
             Chunk length of the chunked scan; defaults to
             ``config.chunk_size``.
@@ -269,13 +244,7 @@ class MambaBlock:
             raise ValueError("scan_impl must be 'chunked' or 'sequential'")
         chunk = chunk_size if chunk_size is not None else cfg.chunk_size
         if seq_lens is not None:
-            if not batched:
-                raise ValueError("seq_lens requires batched input")
-            seq_lens = np.asarray(seq_lens, dtype=np.int64)
-            if seq_lens.shape != u.shape[:1]:
-                raise ValueError(f"seq_lens must have shape {u.shape[:1]}, got {seq_lens.shape}")
-            if seq_lens.size and (seq_lens.min() < 1 or seq_lens.max() > seq_len):
-                raise ValueError(f"seq_lens entries must be in [1, {seq_len}]")
+            seq_lens = _validate_seq_lens(seq_lens, batched, u.shape[0], seq_len)
 
         residual = u
         r = self.norm(u)
@@ -290,93 +259,21 @@ class MambaBlock:
         x, b, c = self._split_xbc(xbc_conv)
         x_heads = x.reshape(x.shape[:-1] + (cfg.nheads, cfg.headdim))
 
-        if self.ssm_impl is None:
-            initial = None if cache is None else cache.ssm_state
-            if impl == "chunked":
-                y_heads, final_state = ssd_chunked_scan(
-                    self.ssm, x_heads, b, c, dt, initial, chunk_size=chunk, seq_lens=seq_lens
-                )
-            else:
-                y_heads, final_state = ssm_scan(
-                    self.ssm, x_heads, b, c, dt, initial, seq_lens=seq_lens
-                )
-        elif impl == "chunked" and getattr(self.ssm_impl, "supports_prefill_scan", False):
-            # The installed implementation carries its own chunk-parallel
-            # prefill engine (e.g. the quantized SSD scan): one scan call for
-            # the whole sequence, same signature as ssd_chunked_scan.  The
-            # scan_impl="sequential" override below stays the per-token
-            # oracle for these implementations too.
-            initial = None if cache is None else cache.ssm_state
-            y_heads, final_state = self.ssm_impl.prefill_scan(
-                self.ssm,
-                x_heads,
-                b,
-                c,
-                dt,
-                initial_state=initial,
-                chunk_size=chunk,
-                seq_lens=seq_lens,
+        initial = None if cache is None else cache.ssm_state
+        if impl == "chunked":
+            scan = ssd_chunked_scan if self.ssm_impl is None else self.ssm_impl.prefill_scan
+            y_heads, final_state = scan(
+                self.ssm, x_heads, b, c, dt, initial, chunk_size=chunk, seq_lens=seq_lens
             )
         else:
-            # A custom (e.g. quantized) step function without a prefill scan,
-            # or the sequential oracle requested: the recurrence steps token
-            # by token; a batch-capable implementation advances all rows in
-            # one call per token, otherwise fall back to per-row stepping.
-            lead = u.shape[:1] if batched else ()
-            resident_loop = False
-            if cache is None:
-                state = np.zeros(lead + (cfg.nheads, cfg.headdim, cfg.d_state))
-            elif isinstance(cache.ssm_state, QuantizedSSMState):
-                if batched and not getattr(self.ssm_impl, "supports_batched", False):
-                    # The per-row fallback below indexes individual state
-                    # rows; drive it on the float view (bit-identical under
-                    # PoT -- the codes are on-grid) and re-quantize at the
-                    # store below.
-                    state = cache.ssm_state.dequantize()
-                else:
-                    # Codes in, codes out: the resident container threads
-                    # through the step itself, no dequantize round trip.
-                    state = cache.ssm_state
-                    resident_loop = True
-            else:
-                state = cache.ssm_state.copy()
-            y_heads = np.zeros_like(x_heads)
-            if batched and getattr(self.ssm_impl, "supports_batched", False):
-                if seq_lens is None:
-                    for t in range(seq_len):
-                        y_heads[:, t], state = self.ssm_impl(
-                            self.ssm, x_heads[:, t], b[:, t], c[:, t], dt[:, t], state
-                        )
-                    final_state = state
-                else:
-                    # Every row's true length is >= 1, so each final row is
-                    # overwritten by its snapshot before it is ever read.
-                    final_state = state.copy() if resident_loop else np.zeros_like(state)
-                    for t in range(seq_len):
-                        y_heads[:, t], state = self.ssm_impl(
-                            self.ssm, x_heads[:, t], b[:, t], c[:, t], dt[:, t], state
-                        )
-                        ending = seq_lens == t + 1
-                        if ending.any():
-                            if resident_loop:
-                                rows = np.nonzero(ending)[0]
-                                final_state.scatter(rows, state.gather(rows))
-                            else:
-                                final_state[ending] = state[ending]
-            elif batched:
-                for i in range(u.shape[0]):
-                    stop = seq_len if seq_lens is None else int(seq_lens[i])
-                    for t in range(stop):
-                        y_heads[i, t], state[i] = self.ssm_impl(
-                            self.ssm, x_heads[i, t], b[i, t], c[i, t], dt[i, t], state[i]
-                        )
-                final_state = state
-            else:
-                for t in range(seq_len):
-                    y_heads[t], state = self.ssm_impl(
-                        self.ssm, x_heads[t], b[t], c[t], dt[t], state
-                    )
-                final_state = state
+            if isinstance(initial, QuantizedSSMState):
+                # The sequential oracle steps on the float view (on-grid, so
+                # the step's entry re-quantization is exact); the store below
+                # hands the final state back to the cache as codes.
+                initial = initial.dequantize()
+            y_heads, final_state = ssm_scan(
+                self.ssm, x_heads, b, c, dt, initial, seq_lens=seq_lens, step_fn=self.ssm_impl
+            )
 
         y = y_heads.reshape(u.shape[:-1] + (cfg.d_inner,))
         gated = self.gated_norm(y, z)
@@ -389,7 +286,7 @@ class MambaBlock:
             if isinstance(cache.ssm_state, QuantizedSSMState) and not isinstance(
                 final_state, QuantizedSSMState
             ):
-                # The per-token oracle above ran on the float view; hand the
+                # The sequential oracle above ran on the float view; hand the
                 # state back to the integer-resident cache as codes (exact:
                 # on-grid PoT re-quantization is the identity).
                 final_state = self.ssm_impl.quantize_state_codes(final_state)

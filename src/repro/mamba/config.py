@@ -48,10 +48,10 @@ class Mamba2Config:
         matrix-matrix parallel within a chunk -- the production fast path) or
         ``"sequential"`` (the per-token reference recurrence, kept as the
         numerical oracle / escape hatch).  Forward/prefill calls may override
-        it per call.  Quantized models whose ``ssm_impl`` advertises
-        ``supports_prefill_scan`` (the LightMamba* configurations) serve the
-        ``"chunked"`` path through their own quantized chunk-parallel scan;
-        ``"sequential"`` remains their per-token oracle as well.
+        it per call.  Quantized models (the LightMamba* configurations)
+        serve the ``"chunked"`` path through their ``ssm_impl``'s quantized
+        chunk-parallel ``prefill_scan``; ``"sequential"`` remains their
+        per-token fake-quant oracle.
     chunk_size:
         Tokens per chunk of the chunked scan (clamped to the sequence
         length at run time).

@@ -169,7 +169,7 @@ class Mamba2Model:
         """A fresh zero inference cache matching each block's state layout.
 
         Blocks whose ``ssm_impl`` keeps the recurrent state integer-resident
-        (``state_resident`` capability -- the persistent-state quantized step)
+        (its ``state_resident`` property -- the persistent-state quantized SSM)
         receive a :class:`~repro.mamba.cache.QuantizedLayerCache` holding zero
         codes; all other blocks get the float
         :class:`~repro.mamba.cache.LayerCache`.  This is the factory every
@@ -180,7 +180,7 @@ class Mamba2Model:
         layers = []
         for block in self.blocks:
             impl = block.ssm_impl
-            if impl is not None and getattr(impl, "state_resident", False):
+            if impl is not None and impl.state_resident:
                 layers.append(impl.zeros_cache(self.config, batch_size))
             else:
                 layers.append(LayerCache.zeros(self.config, batch_size))

@@ -314,7 +314,8 @@ def ssm_scan(
     step_fn:
         The per-token step to drive (``ssm_step`` signature, batch-capable
         when the input is batched); defaults to :func:`ssm_step`.  The
-        quantized scan passes its own step here, so the token loop and its
+        block's sequential prefill and the quantized scan's ``chunk_size=1``
+        pass the quantized step here, so the token loop and its
         ``seq_lens`` snapshot bookkeeping live in exactly one place.
 
     Returns

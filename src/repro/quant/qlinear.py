@@ -52,7 +52,7 @@ def grouped_integer_matmul(  # integer-resident
     and only then scaled in floating point by the operands' per-group scales.
     This is the execution model of the FPGA matrix unit, shared by
     :meth:`QuantizedLinear.forward_integer` and the integer-exact chunk body
-    of :class:`repro.quant.ssm_quant.QuantizedChunkedScan`.
+    of :meth:`repro.quant.ssm_quant.QuantizedSSMStep.prefill_scan`.
 
     Parameters
     ----------

@@ -19,14 +19,14 @@ Weights are fake-quantized in place; activations are quantized at run time by
 hooks installed on each block (``pre_in_proj`` / ``pre_out_proj``), composed
 with the method's runtime transformation (OS+ shift, online Hadamard).
 
-For the ``lightmamba*`` configurations the SSM execution mode is selected by
-the ``ssm`` field of :class:`QuantConfig` (see
-:class:`~repro.quant.ssm_quant.SSMQuantConfig`): the defaults give the
-fake-quant simulation used for accuracy studies, while
-``persistent_state=True`` (integer-resident decode state, bit-identical
-under PoT) and ``integer_chunk_body=True`` (INT32-accumulator prefill chunk
-contractions) move serving runs onto the FPGA's integer execution model --
-``Mamba2Model.new_cache`` then builds integer-resident caches automatically.
+For the ``lightmamba*`` configurations every block's ``ssm_impl`` is a
+:class:`~repro.quant.ssm_quant.QuantizedSSMStep` built from the ``ssm``
+field of :class:`QuantConfig`: the defaults give the fake-quant simulation
+used for accuracy studies, while ``persistent_state=True`` (integer-resident
+decode state, bit-identical under PoT) and ``integer_chunk_body=True``
+(INT32-accumulator prefill chunk contractions) move serving runs onto the
+FPGA's integer execution model -- ``Mamba2Model.new_cache`` then builds
+integer-resident caches automatically.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.quant.rtn import (
     weight_quantizer_config,
 )
 from repro.quant.smoothquant import SmoothQuantConfig, compute_smoothing_scales
-from repro.quant.ssm_quant import SSMQuantConfig, QuantizedChunkedScan
+from repro.quant.ssm_quant import QuantizedSSMStep, SSMQuantConfig
 
 __all__ = ["QuantMethod", "QuantConfig", "quantize_model"]
 
@@ -253,10 +253,7 @@ def quantize_model(
         block.pre_out_proj = _Chain(out_transform, _ActivationQuant(act_cfg))
 
         if method.quantizes_ssm:
-            # The chunk-parallel quantized scan: decodes exactly like the
-            # plain QuantizedSSMStep and serves scan_impl="chunked" prefills
-            # through its SSD-style prefill_scan (supports_prefill_scan).
-            block.ssm_impl = QuantizedChunkedScan(config.ssm)
+            block.ssm_impl = QuantizedSSMStep(config.ssm)
             block.conv.weight = quantize_dequantize(block.conv.weight, conv_weight_cfg)
 
     return quantized

@@ -7,20 +7,15 @@ in floating point -- on the FPGA they are implemented with dedicated units --
 while every multiplicative operand and every element-wise product is
 fake-quantized on the INT8 PoT grid.
 
-Two inference engines are provided:
-
-- :class:`QuantizedSSMStep` is a drop-in replacement for
-  :func:`repro.mamba.ssm.ssm_step` (it matches the ``ssm_impl`` signature of
-  :class:`repro.mamba.block.MambaBlock`) and advances the quantized
-  recurrence one token at a time -- the decode engine, and the sequential
-  prefill oracle.
-- :class:`QuantizedChunkedScan` extends it with a chunk-parallel prefill scan
-  (``prefill_scan``) mirroring the intra/inter-chunk SSD decomposition of
-  :func:`repro.mamba.ssm.ssd_chunked_scan`, with the quantization points kept
-  at the same operator interfaces.  It advertises ``supports_prefill_scan``,
-  which :meth:`MambaBlock.forward <repro.mamba.block.MambaBlock.forward>`
-  routes the ``scan_impl="chunked"`` prefill through -- this is how the
-  LightMamba* configurations inherit the chunked prefill fast path.
+One class, :class:`QuantizedSSMStep`, fills the ``ssm_impl`` slot of
+:class:`repro.mamba.block.MambaBlock` with a batched step (the
+:func:`repro.mamba.ssm.ssm_step` signature: decode, and the
+``scan_impl="sequential"`` prefill through :func:`repro.mamba.ssm.ssm_scan`)
+plus a chunk-parallel ``prefill_scan`` (the
+:func:`repro.mamba.ssm.ssd_chunked_scan` signature: the ``"chunked"``
+prefill).  The sequential prefill doubles as the degraded mode: it steps the
+float view of the state, i.e. the fake-quant oracle with no chunk body and
+no INT32 kernels, bit-identical to the integer step under PoT scales.
 
 Fake-quant vs. integer-resident execution
 -----------------------------------------
@@ -75,9 +70,8 @@ the accelerator's integer semantics.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -97,7 +91,7 @@ from repro.quant.quantizer import (
     quantize_dequantize,
 )
 
-__all__ = ["SSMQuantConfig", "QuantizedSSMStep", "QuantizedChunkedScan"]
+__all__ = ["SSMQuantConfig", "QuantizedSSMStep"]
 
 
 @dataclass(frozen=True)
@@ -114,10 +108,6 @@ class SSMQuantConfig:
     pot_scale:
         Constrain scales to powers of two (the paper's FPGA-friendly scheme).
         Setting it to ``False`` gives the "naive non-PoT" ablation of Fig. 3.
-    quantize_state:
-        Also keep the recurrent hidden state ``h`` on the integer grid between
-        steps (the state is stored in on-chip memory on the FPGA).  The
-        chunk-parallel scan applies it at chunk boundaries.
     quantize_products:
         Re-quantize every element-wise product (the re-quantization whose
         hardware cost Fig. 3 analyses).  Disabling keeps products at high
@@ -127,7 +117,7 @@ class SSMQuantConfig:
         steps (the on-chip state buffer execution model).  Bit-identical to
         the fake-quant decode -- PoT re-quantization of an on-grid state is
         idempotent -- but removes the per-token state round trip.  Requires
-        ``quantize_state`` and ``pot_scale``.
+        ``pot_scale``.
     integer_chunk_body:
         Run the prefill chunk body's ``C B^T`` and ``h . C`` contractions on
         INT32 accumulators over the raw codes (the MMU execution model, with
@@ -147,23 +137,21 @@ class SSMQuantConfig:
     bits: int = 8
     group_size: int = 32
     pot_scale: bool = True
-    quantize_state: bool = True
     quantize_products: bool = True
     persistent_state: bool = False
     integer_chunk_body: bool = False
     integer_full_chunk: bool = False
 
     def __post_init__(self) -> None:
-        if self.persistent_state and not (self.quantize_state and self.pot_scale):
+        if self.persistent_state and not self.pot_scale:
             raise ValueError(
                 "persistent_state keeps h as INT codes + PoT scales; it requires "
-                "quantize_state=True and pot_scale=True"
+                "pot_scale=True"
             )
-        if self.integer_chunk_body and not (self.quantize_products and self.quantize_state):
+        if self.integer_chunk_body and not self.quantize_products:
             raise ValueError(
                 "integer_chunk_body contracts the raw codes of the re-quantized "
-                "products and of the carried state; it requires "
-                "quantize_products=True and quantize_state=True"
+                "products; it requires quantize_products=True"
             )
         if self.integer_full_chunk and not self.integer_chunk_body:
             raise ValueError(
@@ -244,65 +232,30 @@ def _common_group_exponents(
 
 
 class QuantizedSSMStep:
-    """Quantized drop-in replacement for the SSM decode step.
+    """The quantized SSM: a batched decode step plus a chunk-parallel prefill.
 
     The operator decomposition matches Fig. 1 / Fig. 3 of the paper: each
     named element-wise multiplication is computed on fake-quantized operands
     and its output is re-quantized before feeding the next operator.
 
-    A leading batch axis is accepted on every tensor argument
-    (``supports_batched``); because the quantization grid is per-group along
-    the trailing axis, every batch row quantizes exactly as it would alone,
-    so batched stepping is bit-identical to per-row stepping.
+    A leading batch axis is accepted on every tensor argument; because the
+    quantization grid is per-group along the trailing axis, every batch row
+    quantizes exactly as it would alone, so batched stepping is bit-identical
+    to per-row stepping.
     """
-
-    #: Advertises the optional leading batch axis to the block's prefill /
-    #: decode dispatch (single token loop instead of a per-row Python loop).
-    supports_batched = True
-
-    #: The plain step has no chunk-parallel prefill engine; the block's
-    #: prefill then falls back to the per-token loop.  See
-    #: :class:`QuantizedChunkedScan` for the implementation that sets it.
-    supports_prefill_scan = False
 
     def __init__(self, config: SSMQuantConfig = SSMQuantConfig()):
         self.config = config
         self._qcfg = config.config()
         # (D array, D[:, None]) derived on first use (see _d_col).
         self._static_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # When set, prefill_scan ignores integer_chunk_body and runs the
-        # float fake-quant chunk body (see fallback_fake_quant).
-        self._fake_quant_fallback = False
-
-    @contextmanager
-    def fallback_fake_quant(self) -> Iterator["QuantizedSSMStep"]:
-        """Temporarily run the fake-quant chunk body instead of the MMU path.
-
-        The serving supervisor's graceful-degradation hook: inside the
-        context :meth:`QuantizedChunkedScan.prefill_scan` skips the
-        ``integer_chunk_body`` INT32 kernels (whose static overflow guard can
-        legitimately raise :class:`OverflowError`) and computes the same
-        contractions on the float fake-quant path -- the numerics every
-        integer run is verified against, so a degraded request is still
-        served on the model's reference grid.  Decode likewise routes to the
-        fake-quant oracle :meth:`_step_oracle` inside the context instead of
-        the shift-requantized :meth:`_step_integer`; the two are bit-identical
-        under PoT scales, so degrading never changes decoded tokens.
-        Re-entrant; restores the previous mode on exit.
-        """
-        previous = self._fake_quant_fallback
-        self._fake_quant_fallback = True
-        try:
-            yield self
-        finally:
-            self._fake_quant_fallback = previous
 
     @property
     def state_resident(self) -> bool:
         """Whether this step keeps the recurrent state as integer codes.
 
         :meth:`Mamba2Model.new_cache <repro.mamba.model.Mamba2Model.new_cache>`
-        checks this capability to decide between a float
+        reads this property to decide between a float
         :class:`~repro.mamba.cache.LayerCache` and an integer-resident
         :class:`~repro.mamba.cache.QuantizedLayerCache` for the block.
         """
@@ -336,22 +289,6 @@ class QuantizedSSMStep:
             group_size=self.config.group_size,
             bits=self.config.bits,
         )
-
-    def _state_values(self, state) -> np.ndarray:
-        """The float view of an incoming state, quantized onto the grid.
-
-        Oracle-path plumbing only (the integer-resident step never leaves the
-        codes).  A resident :class:`QuantizedSSMState` dequantizes directly
-        (its codes are on the grid by construction -- no absmax / rounding
-        pass); a float state goes through the fake-quant round trip when
-        ``quantize_state`` is enabled, exactly as before.
-        """
-        if isinstance(state, QuantizedSSMState):
-            return state.dequantize()
-        state = np.asarray(state, dtype=np.float64)
-        if self.config.quantize_state:
-            state = self._q(state)
-        return state
 
     def zeros_cache(  # integer-resident
         self, config: Mamba2Config, batch_size: Optional[int] = None
@@ -401,21 +338,19 @@ class QuantizedSSMStep:
         """Advance the quantized recurrence one token (``ssm_impl`` signature).
 
         ``state`` may be a float array (fake-quant mode: re-quantized on
-        entry when ``quantize_state`` is set) or a resident
-        :class:`~repro.mamba.cache.QuantizedSSMState` (integer-resident
-        mode: codes in, codes out).  A resident state dispatches to the
-        all-integer iteration :meth:`_step_integer` -- no float tensor
-        between the entry quantizations and the readout -- unless product
-        re-quantization is disabled, scales are not PoT (shifts need PoT
-        grids), or the fake-quant degradation fallback is active; those
-        cases run the float oracle :meth:`_step_oracle`.  Under PoT scales
-        the two paths are bit-identical.
+        entry) or a resident :class:`~repro.mamba.cache.QuantizedSSMState`
+        (integer-resident mode: codes in, codes out).  A resident state
+        dispatches to the all-integer iteration :meth:`_step_integer` -- no
+        float tensor between the entry quantizations and the readout --
+        unless product re-quantization is disabled or scales are not PoT
+        (shifts need PoT grids); those cases, and every float state, run the
+        float oracle :meth:`_step_oracle`.  Under PoT scales the two paths
+        are bit-identical.
         """
         if (
             isinstance(state, QuantizedSSMState)
             and self.config.quantize_products
             and self.config.pot_scale
-            and not self._fake_quant_fallback
         ):
             return self._step_integer(params, x, B, C, dt, state)
         return self._step_oracle(params, x, B, C, dt, state)
@@ -442,7 +377,8 @@ class QuantizedSSMStep:
         x = self._q(np.asarray(x, dtype=np.float64))
         B = self._q(np.asarray(B, dtype=np.float64))
         C = self._q(np.asarray(C, dtype=np.float64))
-        state = self._state_values(state)
+        # Resident codes are on the grid by construction: dequantize only.
+        state = state.dequantize() if resident else self._q(np.asarray(state, dtype=np.float64))
 
         # Non-linear operators stay in floating point (dedicated FPGA units);
         # the decay pair is computed once per step by the shared helper.
@@ -458,7 +394,7 @@ class QuantizedSSMStep:
             # their dequantized view feeds the readout below.
             out_state = self.quantize_state_codes(new_state)
             new_state = out_state.dequantize()
-        elif self.config.quantize_state:
+        else:
             new_state = self._q(new_state)
             out_state = new_state
 
@@ -611,43 +547,6 @@ class QuantizedSSMStep:
             f"group_size={self.config.group_size}, pot={self.config.pot_scale})"
         )
 
-
-class QuantizedChunkedScan(QuantizedSSMStep):
-    """Chunk-parallel quantized prefill scan (the SSMU fast path).
-
-    Mirrors the intra/inter-chunk SSD decomposition of
-    :func:`repro.mamba.ssm.ssd_chunked_scan` while keeping the quantization
-    points of :class:`QuantizedSSMStep` fixed at the operator interfaces,
-    the FastMamba / ViM-Q recipe for chunk-parallel quantized Mamba blocks:
-
-    - the inputs ``x`` / ``B`` / ``C`` are fake-quantized on entry exactly as
-      the sequential step quantizes them per token (per-group grids live on
-      the trailing axis, so quantizing a whole chunk at once is bit-identical
-      to quantizing each token alone);
-    - the ``Delta (.) B`` and ``D (.) x`` element-wise products are
-      re-quantized at the SSMU interfaces, bit-identically to the step;
-    - the recurrent state is quantized at chunk *boundaries* (entry and every
-      hand-off) instead of after every token, and the intra-chunk outer
-      products / state readout accumulate at high precision -- the MMU-style
-      wide-accumulator interpretation of the dense in-chunk matmuls.
-
-    Two of the step's per-token re-quantization points (``B_bar (.) x`` and
-    ``h (.) C``) therefore collapse into the chunk matmuls; with
-    ``chunk_size=1`` the scan dispatches to the exact per-token step loop
-    (shared code with :class:`QuantizedSSMStep`), making the reduction to the
-    sequential quantized oracle bit-identical by construction.  At larger
-    chunk sizes the scan is the fast approximation whose quality the eval
-    harness pins (perplexity shift < 0.1 vs. the sequential oracle).
-
-    Decode is inherited unchanged from :class:`QuantizedSSMStep`, so a model
-    carrying this implementation decodes bit-identically to one carrying the
-    plain step.
-    """
-
-    #: Tells MambaBlock.forward to route a ``scan_impl="chunked"`` prefill
-    #: through :meth:`prefill_scan` instead of the per-token loop.
-    supports_prefill_scan = True
-
     def prefill_scan(  # integer-resident
         self,
         params: SSMParams,
@@ -661,12 +560,25 @@ class QuantizedChunkedScan(QuantizedSSMStep):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run the quantized recurrence over a full sequence, chunk-parallel.
 
+        Mirrors the intra/inter-chunk SSD decomposition of
+        :func:`repro.mamba.ssm.ssd_chunked_scan` with the step's quantization
+        points at the same operator interfaces (the FastMamba / ViM-Q
+        recipe): ``x`` / ``B`` / ``C`` and the ``Delta (.) B`` / ``D (.) x``
+        products quantize bit-identically to the step (per-group grids live
+        on the trailing axis), while the state is quantized at chunk
+        *boundaries* and the intra-chunk ``B_bar (.) x`` / ``h (.) C``
+        products accumulate at high precision -- the MMU-style wide
+        accumulator.  ``chunk_size=1`` drives the step itself through
+        :func:`repro.mamba.ssm.ssm_scan`, bit-identical to the sequential
+        oracle by construction; larger chunks are the fast approximation
+        whose quality the eval harness pins (perplexity shift < 0.1).
+
         The signature matches :func:`repro.mamba.ssm.ssd_chunked_scan`:
         ``x`` is ``(seq_len, nheads, headdim)`` (optionally with a leading
         batch axis carried by every argument), ``B`` / ``C`` are
         ``(seq_len, d_state)``, ``dt`` is the raw per-head step size (before
         softplus), ``initial_state`` an optional warm state (copied, then
-        quantized at chunk entry when ``quantize_state`` is set), and
+        quantized at chunk entry), and
         ``seq_lens`` optional per-row true lengths of a right-padded ragged
         batch -- the returned state rows are then snapshots at each row's
         true last token.
@@ -751,8 +663,7 @@ class QuantizedChunkedScan(QuantizedSSMStep):
             return y, final
 
         A, d_col = params.A, self._d_col(params)
-        quantize_state = self.config.quantize_state
-        integer_body = self.config.integer_chunk_body and not self._fake_quant_fallback
+        integer_body = self.config.integer_chunk_body
         integer_full = integer_body and self.config.integer_full_chunk
 
         # Operand quantization at the SSMU interfaces.  Per-group grids are
@@ -784,7 +695,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
         y = self._qp(d_col * qx)  # quant-point: x (.) D skip
 
-        state_qt: Optional[QuantizedTensor] = None
         if resident:
             # The incoming codes are the chunk-entry quantization.
             state_qt = QuantizedTensor(
@@ -793,7 +703,7 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 config=self._qcfg,
                 shape=initial_state.shape,
             )
-        elif quantize_state:
+        else:
             state_qt = quantize(state, self._qcfg)  # quant-point: chunk-entry quantization
             state = dequantize(state_qt)  # quant-point: chunk-entry float view
         if seq_lens is not None:
@@ -918,7 +828,7 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                         + wx_j @ np.moveaxis(bc[row, : j + 1], -2, -3)
                     )
                     # quant-point: row snapshot requant
-                    snapshot[row] = self._q(row_state) if quantize_state else row_state
+                    snapshot[row] = self._q(row_state)
 
             # Chunk hand-off, then the chunk-boundary state quantization (kept
             # as codes when the next chunk's readout or the caller needs them).
@@ -948,9 +858,8 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 state = np.exp(last)[..., :, None, None] * state + handoff
             else:
                 state = np.exp(last)[..., :, None, None] * state + wx @ bh
-            if quantize_state:
-                state_qt = quantize(state, self._qcfg)  # quant-point: chunk boundary
-                state = dequantize(state_qt)  # quant-point: boundary float view
+            state_qt = quantize(state, self._qcfg)  # quant-point: chunk boundary
+            state = dequantize(state_qt)  # quant-point: boundary float view
 
         if seq_lens is not None:
             if resident:
@@ -960,10 +869,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 return y, self.quantize_state_codes(snapshot)
             return y, snapshot
         if resident:
-            if not quantize_state:
-                # Degenerate configuration (resident container handed to a
-                # scan that does not quantize hand-offs): quantize once here.
-                return y, self.quantize_state_codes(state)
             return y, QuantizedSSMState(
                 codes=state_qt.codes,
                 scales=state_qt.scales,

@@ -69,7 +69,6 @@ from repro.serving.resilience import (
     ResilienceLog,
     StateCorruptionError,
     cache_unhealthy,
-    sequential_fallback,
     unhealthy_rows,
 )
 from repro.serving.scheduler import (
@@ -965,15 +964,13 @@ class InferenceEngine:
                 else nullcontext()
             )
             try:
-                if request_id in self._degraded:
-                    # Graceful degradation: the per-token sequential oracle on
-                    # the fake-quant path (no chunked scan, no integer MMU
-                    # kernels), still integer-resident at the store.
-                    call = partial(
-                        self._degraded_prefill, segment, progress.cache
-                    )
-                else:
-                    call = partial(self.model.prefill, segment, cache=progress.cache)
+                # Graceful degradation: the per-token sequential oracle on the
+                # fake-quant path (no chunked scan, no integer MMU kernels),
+                # still integer-resident at the store.
+                scan_impl = "sequential" if request_id in self._degraded else None
+                call = partial(
+                    self.model.prefill, segment, cache=progress.cache, scan_impl=scan_impl
+                )
                 with guard:
                     logits, _ = self._model_call("prefill", [request_id], call)
                 if not np.isfinite(logits).all() or cache_unhealthy(progress.cache):
@@ -1087,11 +1084,6 @@ class InferenceEngine:
                     layer.conv_state[...] = np.nan
             self._log("corrupt", request_id=request_ids[row], site=site)
         return rows
-
-    def _degraded_prefill(self, segment: np.ndarray, cache: InferenceCache):
-        """Prefill one segment on the sequential-oracle fallback path."""
-        with sequential_fallback(self.model):
-            return self.model.prefill(segment, cache=cache, scan_impl="sequential")
 
     def _supervised_decode(
         self, slot_indices: List[int], tokens: np.ndarray

@@ -92,7 +92,18 @@ class ServerConfig:
 
 
 _REASON = {200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict",
-           503: "Service Unavailable"}
+           431: "Request Header Fields Too Large", 503: "Service Unavailable"}
+
+#: Header lines read per request; one more is answered with 431 and a close.
+_MAX_HEADER_LINES = 100
+
+
+class _BadRequest(Exception):
+    """Malformed request framing, answered with ``status`` before closing."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class MambaServer:
@@ -278,6 +289,9 @@ class MambaServer:
                 return
             method, path, headers, body = parsed
             await self._route(method, path, headers, body, reader, writer)
+        except _BadRequest as exc:
+            with contextlib.suppress(ConnectionError):
+                await self._send_json(writer, exc.status, {"error": str(exc)})
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -295,13 +309,20 @@ class MambaServer:
         except ValueError:
             return None
         headers: Dict[str, str] = {}
-        while True:
+        for _ in range(_MAX_HEADER_LINES + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        else:
+            raise _BadRequest(431, f"more than {_MAX_HEADER_LINES} header lines")
+        try:
+            length = int(headers.get("content-length") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BadRequest(400, "Content-Length must be a non-negative integer")
         if length > self.config.max_body_bytes:
             raise ConnectionError("request body too large")
         body = await reader.readexactly(length) if length else b""

@@ -8,6 +8,10 @@ import pytest
 from repro.mamba import InitConfig, Mamba2Model, get_preset
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: long-running end-to-end test")
+
+
 @pytest.fixture(scope="session")
 def tiny_config():
     """The smallest structurally-complete Mamba2 configuration."""

@@ -26,7 +26,7 @@ import pytest
 
 from repro.mamba.cache import QuantizedSSMState
 from repro.mamba.ssm import SSMParams
-from repro.quant import QuantizedChunkedScan, SSMQuantConfig
+from repro.quant import QuantizedSSMStep, SSMQuantConfig
 from repro.quant.pot import (
     absmax_requant_exponents,
     pot_exponent,
@@ -141,7 +141,7 @@ class TestIntegerStepBitIdentity:
     def test_bit_identical_to_oracle_over_compounding_steps(
         self, rng, bits, group, lead
     ):
-        step = QuantizedChunkedScan(
+        step = QuantizedSSMStep(
             SSMQuantConfig(bits=bits, group_size=group, persistent_state=True)
         )
         params, *_ = _step_inputs(rng, lead=lead)
@@ -162,7 +162,7 @@ class TestIntegerStepBitIdentity:
         assert np.issubdtype(state_int.codes.dtype, np.integer)
 
     def test_zero_rows_stay_exactly_zero(self, rng):
-        step = QuantizedChunkedScan(
+        step = QuantizedSSMStep(
             SSMQuantConfig(group_size=8, persistent_state=True)
         )
         params, x, B, C, dt = _step_inputs(rng, lead=(2,))
@@ -176,7 +176,7 @@ class TestIntegerStepBitIdentity:
         np.testing.assert_array_equal(out.codes[0], 0)
 
     def test_resident_call_dispatches_to_integer_path(self, rng, monkeypatch):
-        step = QuantizedChunkedScan(
+        step = QuantizedSSMStep(
             SSMQuantConfig(group_size=8, persistent_state=True)
         )
         params, x, B, C, dt = _step_inputs(rng)
@@ -190,9 +190,7 @@ class TestIntegerStepBitIdentity:
         )
         step(params, x, B, C, dt, state)
         assert calls == [1]
-        # The degradation fallback and a float state both take the oracle.
-        with step.fallback_fake_quant():
-            step(params, x, B, C, dt, state)
+        # A float state (the sequential prefill's view) takes the oracle.
         step(params, x, B, C, dt, rng.normal(size=(4, 8, 24)))
         assert calls == [1]
 
@@ -200,7 +198,7 @@ class TestIntegerStepBitIdentity:
         """A poisoned row (fault-injected NaN) must not raise batch-wide;
         the step degrades to the float oracle, which keeps healthy rows
         bit-identical and confines the poison to the corrupted row."""
-        step = QuantizedChunkedScan(
+        step = QuantizedSSMStep(
             SSMQuantConfig(group_size=8, persistent_state=True)
         )
         params, x, B, C, dt = _step_inputs(rng, lead=(3,))
@@ -263,7 +261,7 @@ class TestIntegerFullChunk:
         import repro.quant.ssm_quant as sq
 
         params, x, B, C, dt = _scan_inputs(rng, 37, lead=(2,))
-        full = QuantizedChunkedScan(
+        full = QuantizedSSMStep(
             SSMQuantConfig(
                 group_size=8, integer_chunk_body=True, integer_full_chunk=True
             )
@@ -279,10 +277,10 @@ class TestIntegerFullChunk:
         rounding points; the scan stays within quantization-level error."""
         params, x, B, C, dt = _scan_inputs(rng, 30, lead=(3,))
         seq_lens = np.array([6, 17, 30])
-        body = QuantizedChunkedScan(
+        body = QuantizedSSMStep(
             SSMQuantConfig(group_size=8, integer_chunk_body=True)
         )
-        full = QuantizedChunkedScan(
+        full = QuantizedSSMStep(
             SSMQuantConfig(
                 group_size=8, integer_chunk_body=True, integer_full_chunk=True
             )
@@ -296,7 +294,7 @@ class TestIntegerFullChunk:
 
     def test_overflow_guard_trips_on_unsafe_full_chunk(self, rng):
         params, x, B, C, dt = _scan_inputs(rng, 16, n=128)
-        unsafe = QuantizedChunkedScan(
+        unsafe = QuantizedSSMStep(
             SSMQuantConfig(
                 bits=16,
                 group_size=128,

@@ -37,8 +37,8 @@ from repro.mamba.ssm import SSMParams
 from repro.quant import (
     QuantConfig,
     QuantMethod,
-    QuantizedChunkedScan,
     QuantizedLinear,
+    QuantizedSSMStep,
     SSMQuantConfig,
     grouped_integer_matmul,
     quantize_model,
@@ -145,11 +145,36 @@ class TestPersistentDecodeBitIdentity:
         np.testing.assert_array_equal(logits_f, logits_p)
         _assert_states_equal(cache_f, cache_p)
 
+    def test_ragged_batched_sequential_prefill_stays_resident(self, fake_quant, persistent):
+        """The sequential oracle's per-row seq_lens snapshots, on a resident cache."""
+        rng = np.random.default_rng(17)
+        vocab = persistent.config.vocab_size
+        lengths = np.array([7, 2, 10, 5])
+        padded = np.zeros((4, 10), dtype=np.int64)
+        for i, n in enumerate(lengths):
+            padded[i, :n] = rng.integers(0, vocab, size=n)
+        logits_p, cache_p = persistent.prefill(
+            padded, seq_lens=lengths, scan_impl="sequential"
+        )
+        logits_f, cache_f = fake_quant.prefill(
+            padded, seq_lens=lengths, scan_impl="sequential"
+        )
+        assert all(isinstance(layer.ssm_state, QuantizedSSMState) for layer in cache_p.layers)
+        np.testing.assert_array_equal(logits_p, logits_f)
+        _assert_states_equal(cache_p, cache_f)
+        for i, n in enumerate(lengths):
+            logits_i, cache_i = persistent.prefill(padded[i, :n], scan_impl="sequential")
+            # Each row's snapshot codes are exactly its solo prefill's; the
+            # batched in-projection / head matmuls may round the last bits of
+            # the conv taps and logits differently (the documented 1e-10).
+            for row_layer, solo_layer in zip(cache_p.row(i).layers, cache_i.layers):
+                assert row_layer.ssm_state.exact_equal(solo_layer.ssm_state)
+                np.testing.assert_allclose(row_layer.conv_state, solo_layer.conv_state, atol=1e-10)
+            np.testing.assert_allclose(logits_p[i], logits_i, atol=1e-10)
+
     def test_persistent_state_config_validation(self):
         with pytest.raises(ValueError, match="persistent_state"):
             SSMQuantConfig(persistent_state=True, pot_scale=False)
-        with pytest.raises(ValueError, match="persistent_state"):
-            SSMQuantConfig(persistent_state=True, quantize_state=False)
 
 
 class TestQuantizedCacheLifecycle:
@@ -254,35 +279,35 @@ class TestZeroGroups:
     """All-zero quantization groups are well-defined end to end."""
 
     @pytest.mark.parametrize("pot_scale", [True, False])
-    @pytest.mark.parametrize("quantize_state", [True, False])
+    @pytest.mark.parametrize("resident", [True, False])
     @pytest.mark.parametrize("quantize_products", [True, False])
-    def test_all_zero_step_decodes_to_zero(
-        self, pot_scale, quantize_state, quantize_products
-    ):
+    def test_all_zero_step_decodes_to_zero(self, pot_scale, resident, quantize_products):
         cfg = SSMQuantConfig(
-            group_size=8,
-            pot_scale=pot_scale,
-            quantize_state=quantize_state,
-            quantize_products=quantize_products,
+            group_size=8, pot_scale=pot_scale, quantize_products=quantize_products
         )
-        step = QuantizedChunkedScan(cfg)
+        step = QuantizedSSMStep(cfg)
         params = SSMParams(A_log=np.zeros(2), D=np.ones(2), dt_bias=np.zeros(2))
         zeros = np.zeros((2, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y, state = step(
-                params, zeros, np.zeros(16), np.zeros(16), np.zeros(2), np.zeros((2, 3, 16))
-            )
+            state0 = np.zeros((2, 3, 16))
+            if resident:
+                # Zero codes: the integer step's input under PoT scales.
+                state0 = step.quantize_state_codes(state0)
+            y, state = step(params, zeros, np.zeros(16), np.zeros(16), np.zeros(2), state0)
             ys, states = step.prefill_scan(
                 params,
                 np.zeros((5, 2, 3)),
                 np.zeros((5, 16)),
                 np.zeros((5, 16)),
                 np.zeros((5, 2)),
+                initial_state=state0,
                 chunk_size=2,
             )
+            if resident:
+                state, states = state.dequantize(), states.dequantize()
         np.testing.assert_array_equal(y, 0.0)
-        np.testing.assert_array_equal(np.asarray(state, dtype=np.float64), 0.0)
+        np.testing.assert_array_equal(state, 0.0)
         np.testing.assert_array_equal(ys, 0.0)
         np.testing.assert_array_equal(states, 0.0)
 
@@ -329,8 +354,8 @@ class TestIntegerChunkBody:
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_pot_integer_body_bit_identical_to_float(self, rng, lead):
         params, x, B, C, dt = _scan_inputs(rng, 37, lead=lead)
-        float_body = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
-        int_body = QuantizedChunkedScan(
+        float_body = QuantizedSSMStep(SSMQuantConfig(group_size=8))
+        int_body = QuantizedSSMStep(
             SSMQuantConfig(group_size=8, integer_chunk_body=True)
         )
         yf, sf = float_body.prefill_scan(params, x, B, C, dt, chunk_size=16)
@@ -342,8 +367,8 @@ class TestIntegerChunkBody:
         params, x, B, C, dt = _scan_inputs(rng, 30, lead=(3,))
         warm = rng.normal(size=(3, 4, 8, 24))
         seq_lens = np.array([6, 17, 30])
-        float_body = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
-        int_body = QuantizedChunkedScan(
+        float_body = QuantizedSSMStep(SSMQuantConfig(group_size=8))
+        int_body = QuantizedSSMStep(
             SSMQuantConfig(group_size=8, integer_chunk_body=True)
         )
         yf, sf = float_body.prefill_scan(
@@ -357,8 +382,8 @@ class TestIntegerChunkBody:
 
     def test_non_pot_integer_body_matches_closely(self, rng):
         params, x, B, C, dt = _scan_inputs(rng, 29)
-        float_body = QuantizedChunkedScan(SSMQuantConfig(group_size=8, pot_scale=False))
-        int_body = QuantizedChunkedScan(
+        float_body = QuantizedSSMStep(SSMQuantConfig(group_size=8, pot_scale=False))
+        int_body = QuantizedSSMStep(
             SSMQuantConfig(group_size=8, pot_scale=False, integer_chunk_body=True)
         )
         yf, _ = float_body.prefill_scan(params, x, B, C, dt, chunk_size=8)
@@ -368,7 +393,7 @@ class TestIntegerChunkBody:
     def test_overflow_guard_trips_on_unsafe_configuration(self, rng):
         """INT16 codes with 128-long groups exceed the INT32 accumulator."""
         params, x, B, C, dt = _scan_inputs(rng, 16, n=128)
-        unsafe = QuantizedChunkedScan(
+        unsafe = QuantizedSSMStep(
             SSMQuantConfig(bits=16, group_size=128, integer_chunk_body=True)
         )
         with pytest.raises(OverflowError, match="INT32 accumulator"):
@@ -403,13 +428,11 @@ class TestIntegerChunkBody:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="integer_chunk_body"):
             SSMQuantConfig(integer_chunk_body=True, quantize_products=False)
-        with pytest.raises(ValueError, match="integer_chunk_body"):
-            SSMQuantConfig(integer_chunk_body=True, quantize_state=False)
 
     def test_decode_step_unchanged_by_integer_body(self, rng):
         params, x, B, C, dt = _scan_inputs(rng, 1)
-        plain = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
-        integer = QuantizedChunkedScan(SSMQuantConfig(group_size=8, integer_chunk_body=True))
+        plain = QuantizedSSMStep(SSMQuantConfig(group_size=8))
+        integer = QuantizedSSMStep(SSMQuantConfig(group_size=8, integer_chunk_body=True))
         state = rng.normal(size=(4, 8, 24))
         y1, s1 = plain(params, x[0], B[0], C[0], dt[0], state)
         y2, s2 = integer(params, x[0], B[0], C[0], dt[0], state)

@@ -223,7 +223,6 @@ class TestQuantizedBatchedStepping:
         from repro.quant import QuantConfig, QuantMethod, quantize_model
 
         quantized = quantize_model(tiny_model, QuantConfig.w8a8(QuantMethod.LIGHTMAMBA_STAR))
-        assert getattr(quantized.blocks[0].ssm_impl, "supports_batched", False)
         rng = np.random.default_rng(11)
         prompts = rng.integers(0, quantized.config.vocab_size, size=(3, 8))
         logits, cache = quantized.prefill(prompts)

@@ -1,4 +1,4 @@
-"""Tests of the chunk-parallel quantized prefill scan (QuantizedChunkedScan).
+"""Tests of the chunk-parallel quantized prefill scan (QuantizedSSMStep.prefill_scan).
 
 The LightMamba* configurations now serve ``scan_impl="chunked"`` prefills
 through a quantized SSD-style scan instead of the per-token loop.  These
@@ -18,12 +18,11 @@ import pytest
 
 from repro.eval import ZipfCorpusGenerator, perplexity
 from repro.mamba import greedy_decode
-from repro.mamba.cache import InferenceCache
+from repro.mamba.cache import InferenceCache, QuantizedSSMState
 from repro.mamba.ssm import SSMParams
 from repro.quant import (
     QuantConfig,
     QuantMethod,
-    QuantizedChunkedScan,
     QuantizedSSMStep,
     SSMQuantConfig,
     quantize_model,
@@ -55,6 +54,11 @@ def _step_reference(step, params, x, B, C, dt, state=None):
     return y, state
 
 
+def _values(state):
+    """The float values of a float or integer-resident SSM state."""
+    return state.dequantize() if isinstance(state, QuantizedSSMState) else state
+
+
 def _caches_allclose(a: InferenceCache, b: InferenceCache, atol=1e-10):
     for layer_a, layer_b in zip(a.layers, b.layers):
         np.testing.assert_allclose(layer_a.conv_state, layer_b.conv_state, atol=atol)
@@ -68,23 +72,27 @@ def quantized(tiny_model):
 
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("pot_scale", [True, False])
-    @pytest.mark.parametrize("quantize_state", [True, False])
+    @pytest.mark.parametrize("resident", [True, False])
     @pytest.mark.parametrize("quantize_products", [True, False])
     def test_chunk_one_bit_identical_to_step(
-        self, rng, pot_scale, quantize_state, quantize_products
+        self, rng, pot_scale, resident, quantize_products
     ):
-        """chunk_size=1 must reduce *bit-identically* to sequential stepping."""
+        """chunk_size=1 must reduce *bit-identically* to sequential stepping,
+        from a float or an integer-resident warm state alike (the resident
+        reference steps the codes; the scan steps their float view)."""
         cfg = SSMQuantConfig(
-            group_size=8,
-            pot_scale=pot_scale,
-            quantize_state=quantize_state,
-            quantize_products=quantize_products,
+            group_size=8, pot_scale=pot_scale, quantize_products=quantize_products
         )
+        step = QuantizedSSMStep(cfg)
         params, x, B, C, dt = _scan_inputs(rng, T=23)
-        y_ref, s_ref = _step_reference(QuantizedSSMStep(cfg), params, x, B, C, dt)
-        y, s = QuantizedChunkedScan(cfg).prefill_scan(params, x, B, C, dt, chunk_size=1)
+        warm = rng.normal(size=(4, 8, 16))
+        if resident:
+            warm = step.quantize_state_codes(warm)
+        y_ref, s_ref = _step_reference(step, params, x, B, C, dt, warm)
+        y, s = step.prefill_scan(params, x, B, C, dt, initial_state=warm, chunk_size=1)
+        assert isinstance(s, QuantizedSSMState) == resident
         np.testing.assert_array_equal(y, y_ref)
-        np.testing.assert_array_equal(s, s_ref)
+        np.testing.assert_array_equal(_values(s), _values(s_ref))
 
     @pytest.mark.parametrize("chunk_size", [4, 8, 64])
     def test_larger_chunks_track_the_oracle(self, rng, chunk_size):
@@ -92,29 +100,17 @@ class TestKernelBitIdentity:
         cfg = SSMQuantConfig(group_size=8)
         params, x, B, C, dt = _scan_inputs(rng, T=37)
         y_ref, s_ref = _step_reference(QuantizedSSMStep(cfg), params, x, B, C, dt)
-        y, s = QuantizedChunkedScan(cfg).prefill_scan(
+        y, s = QuantizedSSMStep(cfg).prefill_scan(
             params, x, B, C, dt, chunk_size=chunk_size
         )
         assert np.max(np.abs(y - y_ref)) <= 0.05 * np.max(np.abs(y_ref))
         assert np.max(np.abs(s - s_ref)) <= 0.05 * np.max(np.abs(s_ref))
 
-    def test_no_requant_chunks_match_fp_decomposition_exactly(self, rng):
-        """With products/state requant off, only operand quantization remains,
-        and every chunk size computes the same recurrence (FP associativity
-        differences only)."""
-        cfg = SSMQuantConfig(group_size=8, quantize_state=False, quantize_products=False)
-        params, x, B, C, dt = _scan_inputs(rng, T=29)
-        scan = QuantizedChunkedScan(cfg)
-        y1, s1 = scan.prefill_scan(params, x, B, C, dt, chunk_size=1)
-        y8, s8 = scan.prefill_scan(params, x, B, C, dt, chunk_size=8)
-        np.testing.assert_allclose(y8, y1, atol=1e-10)
-        np.testing.assert_allclose(s8, s1, atol=1e-10)
-
     def test_warm_initial_state_continues(self, rng):
         """Chunk-aligned segmentation with initial_state is bit-exact (PoT)."""
         cfg = SSMQuantConfig(group_size=8)
         params, x, B, C, dt = _scan_inputs(rng, T=32)
-        scan = QuantizedChunkedScan(cfg)
+        scan = QuantizedSSMStep(cfg)
         y_full, s_full = scan.prefill_scan(params, x, B, C, dt, chunk_size=8)
         y_a, s_a = scan.prefill_scan(params, x[:16], B[:16], C[:16], dt[:16], chunk_size=8)
         y_b, s_b = scan.prefill_scan(
@@ -127,7 +123,7 @@ class TestKernelBitIdentity:
         cfg = SSMQuantConfig(group_size=8)
         params, x, B, C, dt = _scan_inputs(rng, T=21, lead=(3,))
         lens = np.array([5, 21, 13])
-        scan = QuantizedChunkedScan(cfg)
+        scan = QuantizedSSMStep(cfg)
         y, snap = scan.prefill_scan(params, x, B, C, dt, chunk_size=8, seq_lens=lens)
         for i, L in enumerate(lens):
             y_i, s_i = scan.prefill_scan(
@@ -138,7 +134,7 @@ class TestKernelBitIdentity:
 
     def test_validation(self, rng):
         params, x, B, C, dt = _scan_inputs(rng, T=5)
-        scan = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
+        scan = QuantizedSSMStep(SSMQuantConfig(group_size=8))
         with pytest.raises(ValueError):
             scan.prefill_scan(params, x, B, C, dt, chunk_size=0)
         with pytest.raises(ValueError):
@@ -152,23 +148,10 @@ class TestKernelBitIdentity:
         with pytest.raises(ValueError):
             scan.prefill_scan(params, x, B, C, dt, seq_lens=np.array([3]))
 
-    def test_decode_step_inherited_bit_identical(self, rng):
-        """The scan object decodes exactly like the plain quantized step."""
-        cfg = SSMQuantConfig(group_size=8)
-        params, x, B, C, dt = _scan_inputs(rng, T=1)
-        state = rng.normal(size=(4, 8, 16))
-        y_step, s_step = QuantizedSSMStep(cfg)(params, x[0], B[0], C[0], dt[0], state)
-        y_scan, s_scan = QuantizedChunkedScan(cfg)(params, x[0], B[0], C[0], dt[0], state)
-        np.testing.assert_array_equal(y_scan, y_step)
-        np.testing.assert_array_equal(s_scan, s_step)
-
 
 class TestModelRouting:
     def test_star_models_advertise_prefill_scan(self, quantized):
-        assert all(
-            getattr(b.ssm_impl, "supports_prefill_scan", False)
-            for b in quantized.blocks
-        )
+        assert all(callable(b.ssm_impl.prefill_scan) for b in quantized.blocks)
 
     def test_chunk_one_prefill_bit_identical_to_sequential(self, quantized):
         rng = np.random.default_rng(0)

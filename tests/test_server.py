@@ -9,6 +9,8 @@ contract are exercised exactly as a real client would.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -57,6 +59,24 @@ def _stats(host, port):
     status, payload = _request_json(host, port, "GET", "/stats")
     assert status == 200
     return payload
+
+
+def _raw_exchange(host, port, data: bytes):
+    """Send raw bytes, read until the server closes; returns (status, JSON body)."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
 
 
 def _read_to_done(conn):
@@ -141,6 +161,31 @@ class TestWireProtocol:
                 payload={"prompt": [10**9], "max_new_tokens": 2},
             )
             assert status == 400
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1.5"])
+    def test_malformed_content_length_answers_400(self, tiny_model, length):
+        engine = InferenceEngine(tiny_model, max_batch_size=2)
+        with serve_in_thread(engine) as handle:
+            status, payload = _raw_exchange(
+                handle.host,
+                handle.port,
+                b"POST /v1/generate HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n",
+            )
+            assert status == 400
+            assert "Content-Length" in payload["error"]
+            # The connection handler survived: the server still answers.
+            assert _request_json(handle.host, handle.port, "GET", "/healthz")[0] == 200
+
+    def test_header_flood_answers_431(self, tiny_model):
+        engine = InferenceEngine(tiny_model, max_batch_size=2)
+        with serve_in_thread(engine) as handle:
+            flood = b"".join(b"X-Filler-%d: x\r\n" % i for i in range(3000))
+            status, payload = _raw_exchange(
+                handle.host, handle.port, b"GET /healthz HTTP/1.1\r\n" + flood + b"\r\n"
+            )
+            assert status == 431
+            assert "header lines" in payload["error"]
+            assert _request_json(handle.host, handle.port, "GET", "/healthz")[0] == 200
 
     def test_bench_step_requires_bench_mode(self, tiny_model):
         engine = InferenceEngine(tiny_model, max_batch_size=2)
