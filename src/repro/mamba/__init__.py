@@ -31,7 +31,7 @@ from repro.mamba.ssm import (
     ssd_chunked_scan,
     selective_state_update,
 )
-from repro.mamba.cache import LayerCache, InferenceCache, QuantizedLayerCache, QuantizedSSMState
+from repro.mamba.cache import LayerCache, InferenceCache, QuantizedSSMState
 from repro.mamba.block import MambaBlock
 from repro.mamba.model import Mamba2Model
 from repro.mamba.generation import greedy_decode, sample_decode, GenerationResult
@@ -56,7 +56,6 @@ __all__ = [
     "selective_state_update",
     "LayerCache",
     "InferenceCache",
-    "QuantizedLayerCache",
     "QuantizedSSMState",
     "MambaBlock",
     "Mamba2Model",

@@ -10,30 +10,32 @@ Both cache classes support an optional batch dimension.  ``zeros(config)``
 builds the single-sequence state used by the classic decode API;
 ``zeros(config, batch_size=b)`` prepends a batch axis to every tensor.  The
 serving engine manages request lifetimes with :meth:`gather` (select / compact
-rows, e.g. to evict finished requests) and :meth:`scatter` (write rows back,
-e.g. to admit a freshly prefilled request into a running batch);
+rows, e.g. to evict finished requests or checkpoint them before a supervised
+model call) and :meth:`scatter` (write rows back, e.g. to admit a freshly
+prefilled request into a running batch or roll a faulted row back);
 :meth:`stack` / :meth:`row` convert between batched and per-request caches.
 
-Quantized models with a *persistent integer state* (the FPGA keeps ``h``
-resident on-chip as INT codes, Sec. V of the paper) use
-:class:`QuantizedLayerCache`: its ``ssm_state`` holds a
-:class:`QuantizedSSMState` -- integer codes plus per-group scales -- instead of
-a float array, and all of the request-lifetime operations above move the codes
-directly, so admission / eviction never round-trips the state through floats.
-The quantization logic itself lives in :mod:`repro.quant.ssm_quant`; this
-module only defines the mechanical containers (pure numpy, no quant imports).
+A :class:`LayerCache`'s ``ssm_state`` is either a float array or, for a
+quantized model with a *persistent integer state* (the FPGA keeps ``h``
+resident on-chip as INT codes, Sec. V of the paper), a
+:class:`QuantizedSSMState` -- integer codes plus per-group scales.  The
+resident container indexes by rows like an array, so every request-lifetime
+operation above moves the codes directly and admission / eviction never
+round-trips the state through floats.  The quantization logic itself lives in
+:mod:`repro.quant.ssm_quant`; this module only defines the mechanical
+containers (pure numpy, no quant imports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.mamba.config import Mamba2Config
 
-__all__ = ["LayerCache", "InferenceCache", "QuantizedSSMState", "QuantizedLayerCache"]
+__all__ = ["LayerCache", "InferenceCache", "QuantizedSSMState"]
 
 
 @dataclass
@@ -48,11 +50,12 @@ class QuantizedSSMState:
     group-reshaped view of ``codes``).  The container is purely mechanical --
     producing codes from floats is the quantizer's job
     (:class:`repro.quant.ssm_quant.QuantizedSSMStep`); here we only hold,
-    copy, and row-shuffle them for the serving engine's admission / eviction.
+    copy, and row-index them for the serving engine's admission / eviction.
 
     ``codes`` has the exact shape a float ``ssm_state`` would have
     (``(nheads, headdim, d_state)``, plus an optional leading batch axis), so
-    every batched row operation is a plain leading-axis index on both arrays.
+    ``state[rows]`` and ``state[rows] = other`` index the leading axis of
+    both arrays, exactly like a float state array.
     """
 
     codes: np.ndarray
@@ -63,11 +66,6 @@ class QuantizedSSMState:
     @property
     def shape(self) -> tuple:
         return self.codes.shape
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Leading batch dimension, or ``None`` for a single-sequence state."""
-        return self.codes.shape[0] if self.codes.ndim == 4 else None
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the float state (``codes * scales``, group-wise).
@@ -94,27 +92,20 @@ class QuantizedSSMState:
             self.codes.copy(), self.scales.copy(), self.group_size, self.bits
         )
 
-    def gather(self, indices) -> "QuantizedSSMState":
-        indices = np.asarray(indices, dtype=np.int64)
+    def __getitem__(self, index) -> "QuantizedSSMState":
+        """Leading-axis rows (numpy indexing semantics: a view for an int)."""
         return QuantizedSSMState(
-            self.codes[indices].copy(),
-            self.scales[indices].copy(),
-            self.group_size,
-            self.bits,
+            self.codes[index], self.scales[index], self.group_size, self.bits
         )
 
-    def scatter(self, indices, src: "QuantizedSSMState") -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        self.codes[indices] = src.codes
-        self.scales[indices] = src.scales
-
-    def row(self, index: int) -> "QuantizedSSMState":
-        return QuantizedSSMState(
-            self.codes[index].copy(),
-            self.scales[index].copy(),
-            self.group_size,
-            self.bits,
-        )
+    def __setitem__(self, index, value: "QuantizedSSMState") -> None:
+        if not isinstance(value, QuantizedSSMState):
+            raise TypeError(
+                "writing rows into an integer-resident state needs a "
+                "QuantizedSSMState source, not a float state"
+            )
+        self.codes[index] = value.codes
+        self.scales[index] = value.scales
 
     @classmethod
     def stack(cls, states: Sequence["QuantizedSSMState"]) -> "QuantizedSSMState":
@@ -164,14 +155,18 @@ class LayerCache:
     ----------
     conv_state:
         Rolling convolution window, shape ``(conv_dim, d_conv)`` -- or
-        ``(batch, conv_dim, d_conv)`` for a batched cache.
+        ``(batch, conv_dim, d_conv)`` for a batched cache.  Always float: the
+        short window is tiny and not quantized between steps.
     ssm_state:
         SSM hidden state ``h``, shape ``(nheads, headdim, d_state)`` -- or
-        ``(batch, nheads, headdim, d_state)`` for a batched cache.
+        ``(batch, nheads, headdim, d_state)`` for a batched cache.  Either a
+        float array or an integer-resident :class:`QuantizedSSMState` of the
+        same shape; every row operation below works on both.  Writing float
+        rows into a resident state raises :class:`TypeError`.
     """
 
     conv_state: np.ndarray
-    ssm_state: np.ndarray
+    ssm_state: Union[np.ndarray, QuantizedSSMState]
 
     @classmethod
     def zeros(cls, config: Mamba2Config, batch_size: Optional[int] = None) -> "LayerCache":
@@ -221,10 +216,12 @@ class LayerCache:
             raise ValueError("cannot stack an empty sequence of caches")
         if any(c.batch_size is not None for c in caches):
             raise ValueError("stack expects single-sequence (unbatched) caches")
-        return cls(
-            conv_state=np.stack([c.conv_state for c in caches]),
-            ssm_state=np.stack([c.ssm_state for c in caches]),
-        )
+        states = [c.ssm_state for c in caches]
+        if isinstance(states[0], QuantizedSSMState):
+            ssm_state = QuantizedSSMState.stack(states)
+        else:
+            ssm_state = np.stack(states)
+        return cls(conv_state=np.stack([c.conv_state for c in caches]), ssm_state=ssm_state)
 
     def _require_batched(self, op: str) -> None:
         if self.batch_size is None:
@@ -235,119 +232,39 @@ class LayerCache:
     def state_equal(self, other: "LayerCache") -> bool:
         """Exact value equality of the recurrent state (no tolerance).
 
-        Float arrays compare with :func:`numpy.array_equal`; the quantized
-        subclass compares resident codes + scales instead (see
-        :meth:`QuantizedLayerCache.state_equal`).  ``NaN`` never compares
-        equal, so a corrupted state is never "equal" to a healthy snapshot.
+        Float arrays compare with :func:`numpy.array_equal`; a resident state
+        compares its codes + scales (:meth:`QuantizedSSMState.exact_equal`),
+        never dequantized floats, and never equals a float state.  ``NaN``
+        never compares equal, so a corrupted state is never "equal" to a
+        healthy snapshot.
         """
-        if type(other) is not type(self):
+        if not np.array_equal(self.conv_state, other.conv_state):
             return False
-        return np.array_equal(self.conv_state, other.conv_state) and np.array_equal(
-            self.ssm_state, other.ssm_state
-        )
+        mine, theirs = self.ssm_state, other.ssm_state
+        if isinstance(mine, QuantizedSSMState):
+            return isinstance(theirs, QuantizedSSMState) and mine.exact_equal(theirs)
+        return isinstance(theirs, np.ndarray) and np.array_equal(mine, theirs)
 
     def num_elements(self) -> int:
         """Total scalars held by this layer's recurrent state."""
-        return int(self.conv_state.size + self.ssm_state.size)
+        state = self.ssm_state
+        n_state = state.num_elements() if isinstance(state, QuantizedSSMState) else state.size
+        return int(self.conv_state.size + n_state)
 
     def resident_bytes(self) -> float:
         """Checkpoint footprint of this layer's state, in bytes.
 
         Matches the accounting of
-        :class:`repro.hardware.memory.QuantizedStateMemoryModel`: a float
-        cache is stored at FP16 (2 bytes per element); the quantized subclass
-        stores packed codes plus one PoT exponent byte per scale (see
-        :meth:`QuantizedLayerCache.resident_bytes`).
+        :class:`repro.hardware.memory.QuantizedStateMemoryModel`: conv taps
+        and a float state are stored at FP16 (2 bytes per element); a
+        resident state stores packed codes plus one PoT exponent byte per
+        scale (:meth:`QuantizedSSMState.num_bytes`).
         """
-        return float(self.num_elements()) * 2.0
-
-
-@dataclass
-class QuantizedLayerCache(LayerCache):
-    """A :class:`LayerCache` whose SSM state is integer-resident.
-
-    ``conv_state`` stays a float array (the short convolution window is tiny
-    and not quantized between steps); ``ssm_state`` holds a
-    :class:`QuantizedSSMState` instead of floats.  A model whose blocks carry
-    a persistent-state quantized ``ssm_impl``
-    (:class:`repro.quant.ssm_quant.QuantizedSSMStep` with
-    ``persistent_state=True``) builds these through
-    :meth:`Mamba2Model.new_cache <repro.mamba.model.Mamba2Model.new_cache>`;
-    the serving engine's gather / scatter / stack / row then carry codes, not
-    floats, exactly like the FPGA's on-chip state buffer.
-    """
-
-    # ``ssm_state`` (inherited field) holds a QuantizedSSMState here.
-
-    @classmethod
-    def zeros(cls, config: Mamba2Config, batch_size: Optional[int] = None) -> "LayerCache":
-        raise TypeError(
-            "a QuantizedLayerCache is built by the quantized step's "
-            "zeros_cache(...) (see Mamba2Model.new_cache): only the quantizer "
-            "knows the state grid, so LayerCache.zeros cannot construct one"
+        state = self.ssm_state
+        state_bytes = (
+            state.num_bytes() if isinstance(state, QuantizedSSMState) else state.size * 2.0
         )
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        return self.conv_state.shape[0] if self.conv_state.ndim == 3 else None
-
-    def copy(self) -> "QuantizedLayerCache":
-        return QuantizedLayerCache(self.conv_state.copy(), self.ssm_state.copy())
-
-    def gather(self, indices) -> "QuantizedLayerCache":
-        self._require_batched("gather")
-        indices = np.asarray(indices, dtype=np.int64)
-        return QuantizedLayerCache(
-            self.conv_state[indices].copy(), self.ssm_state.gather(indices)
-        )
-
-    def scatter(self, indices, src: "LayerCache") -> None:
-        self._require_batched("scatter")
-        indices = np.asarray(indices, dtype=np.int64)
-        if src.batch_size != indices.size:
-            raise ValueError(
-                f"scatter needs one src row per index: {indices.size} indices "
-                f"but src batch size is {src.batch_size}"
-            )
-        if not isinstance(src.ssm_state, QuantizedSSMState):
-            raise TypeError(
-                "scatter into a QuantizedLayerCache needs integer-resident "
-                "source rows (QuantizedSSMState), not a float state"
-            )
-        self.conv_state[indices] = src.conv_state
-        self.ssm_state.scatter(indices, src.ssm_state)
-
-    def row(self, index: int) -> "QuantizedLayerCache":
-        self._require_batched("row")
-        return QuantizedLayerCache(
-            self.conv_state[index].copy(), self.ssm_state.row(index)
-        )
-
-    @classmethod
-    def stack(cls, caches: Sequence["LayerCache"]) -> "QuantizedLayerCache":
-        if not caches:
-            raise ValueError("cannot stack an empty sequence of caches")
-        if any(c.batch_size is not None for c in caches):
-            raise ValueError("stack expects single-sequence (unbatched) caches")
-        return cls(
-            conv_state=np.stack([c.conv_state for c in caches]),
-            ssm_state=QuantizedSSMState.stack([c.ssm_state for c in caches]),
-        )
-
-    def state_equal(self, other: "LayerCache") -> bool:
-        """Exact resident equality: codes + scales compared, not floats."""
-        if type(other) is not type(self):
-            return False
-        return np.array_equal(self.conv_state, other.conv_state) and self.ssm_state.exact_equal(
-            other.ssm_state
-        )
-
-    def num_elements(self) -> int:
-        return int(self.conv_state.size) + self.ssm_state.num_elements()
-
-    def resident_bytes(self) -> float:
-        """FP16 conv window plus the resident integer state's packed bytes."""
-        return float(self.conv_state.size) * 2.0 + self.ssm_state.num_bytes()
+        return float(self.conv_state.size) * 2.0 + state_bytes
 
 
 @dataclass
@@ -377,7 +294,12 @@ class InferenceCache:
         return InferenceCache(layers=[layer.copy() for layer in self.layers])
 
     def gather(self, indices) -> "InferenceCache":
-        """Return a new batched cache holding rows ``indices`` of every layer."""
+        """Return a new batched cache holding rows ``indices`` of every layer.
+
+        Also the serving supervisor's pre-call checkpoint: a resident state's
+        codes + PoT scales are copied as they are, so :meth:`scatter` of the
+        checkpoint followed by :meth:`state_equal` round-trips bit-exactly.
+        """
         return InferenceCache(layers=[layer.gather(indices) for layer in self.layers])
 
     def scatter(self, indices, src: "InferenceCache") -> None:
@@ -400,44 +322,34 @@ class InferenceCache:
         if any(len(c.layers) != n_layer for c in caches):
             raise ValueError("all caches must have the same layer count")
         return cls(
-            layers=[
-                # Dispatch on the concrete layer class so a QuantizedLayerCache
-                # stacks into a QuantizedLayerCache (codes stay codes).
-                type(caches[0].layers[i]).stack([c.layers[i] for c in caches])
-                for i in range(n_layer)
-            ]
+            layers=[LayerCache.stack([c.layers[i] for c in caches]) for i in range(n_layer)]
         )
 
-    # ------------------------------------------------------------------
-    # Supervisor snapshot / restore API
-    # ------------------------------------------------------------------
-    def snapshot_rows(self, indices) -> "InferenceCache":
-        """Checkpoint the state of rows ``indices`` (deep copy, all layers).
-
-        The serving supervisor's pre-iteration snapshot: for a quantized
-        cache this copies the resident integer codes + PoT scale exponents
-        directly (never dequantizing), so :meth:`restore_rows` followed by
-        :meth:`state_equal` round-trips bit-exactly.  Equivalent to
-        :meth:`gather`; the alias documents intent and pins the contract.
-        """
-        return self.gather(indices)
-
-    def restore_rows(self, indices, snapshot: "InferenceCache") -> None:
-        """Roll rows ``indices`` back to a :meth:`snapshot_rows` checkpoint."""
-        self.scatter(indices, snapshot)
-
     def state_equal(self, other: "InferenceCache") -> bool:
-        """Exact state equality across all layers (see :meth:`LayerCache.state_equal`).
-
-        Quantized layers compare resident codes + scales, never dequantized
-        floats -- the bit-exact rollback check.
-        """
+        """Exact state equality across all layers (see :meth:`LayerCache.state_equal`)."""
         if len(other.layers) != len(self.layers):
             return False
         return all(
             layer.state_equal(other_layer)
             for layer, other_layer in zip(self.layers, other.layers)
         )
+
+    def nonfinite_rows(self) -> np.ndarray:
+        """One boolean per row: whether any of the row's state is non-finite.
+
+        A single-sequence cache counts as one row.  A resident state is
+        checked through its scales -- the codes are integers and always
+        finite, so poison surfaces in the scales.  Quantization grids are
+        per-row, so poison never leaks across rows and attribution is exact.
+        """
+        lead = 0 if self.batch_size is None else 1
+        bad = np.zeros(1 if self.batch_size is None else self.batch_size, dtype=bool)
+        for layer in self.layers:
+            state = layer.ssm_state
+            values = state.scales if isinstance(state, QuantizedSSMState) else state
+            for array in (layer.conv_state, values):
+                bad |= ~np.isfinite(array).all(axis=tuple(range(lead, array.ndim)))
+        return bad
 
     def num_elements(self) -> int:
         """Total scalars held by the model's recurrent state."""
@@ -446,7 +358,7 @@ class InferenceCache:
     def resident_state_bytes(self) -> float:
         """Checkpoint footprint in bytes, layer accounting per :meth:`LayerCache.resident_bytes`.
 
-        For a quantized cache this matches
+        For a resident cache this matches
         :class:`repro.hardware.memory.QuantizedStateMemoryModel`'s
         quantized-footprint terms for the recurrent state (packed codes, one
         exponent byte per PoT scale, FP16 conv taps); for a float cache it is
@@ -454,7 +366,3 @@ class InferenceCache:
         snapshot bytes in ``EngineStats``.
         """
         return sum(layer.resident_bytes() for layer in self.layers)
-
-    def num_bytes(self, bytes_per_element: int = 2) -> int:
-        """Cache footprint in bytes (default FP16 storage)."""
-        return self.num_elements() * bytes_per_element

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.mamba.block import MambaBlock
-from repro.mamba.cache import InferenceCache, LayerCache
+from repro.mamba.cache import InferenceCache
 from repro.mamba.config import Mamba2Config
 from repro.mamba.init import InitConfig, init_block_params, init_embedding
 from repro.mamba.rmsnorm import RMSNorm
@@ -168,23 +168,22 @@ class Mamba2Model:
     def new_cache(self, batch_size: Optional[int] = None) -> InferenceCache:
         """A fresh zero inference cache matching each block's state layout.
 
-        Blocks whose ``ssm_impl`` keeps the recurrent state integer-resident
-        (its ``state_resident`` property -- the persistent-state quantized SSM)
-        receive a :class:`~repro.mamba.cache.QuantizedLayerCache` holding zero
-        codes; all other blocks get the float
-        :class:`~repro.mamba.cache.LayerCache`.  This is the factory every
-        decode entry point (:meth:`prefill`, the serving engine's slot pool)
-        uses, so the resident representation is threaded through admission /
-        eviction automatically.
+        Every block gets a :class:`~repro.mamba.cache.LayerCache`.  Blocks
+        whose ``ssm_impl`` keeps the recurrent state integer-resident (its
+        ``state_resident`` property -- the persistent-state quantized SSM)
+        hold their zero ``ssm_state`` as a
+        :class:`~repro.mamba.cache.QuantizedSSMState` of zero codes (zeros
+        quantize exactly).  This is the factory every decode entry point
+        (:meth:`prefill`, the serving engine's slot pool) uses, so the
+        resident representation is threaded through admission / eviction
+        automatically.
         """
-        layers = []
-        for block in self.blocks:
+        cache = InferenceCache.zeros(self.config, batch_size)
+        for block, layer in zip(self.blocks, cache.layers):
             impl = block.ssm_impl
             if impl is not None and impl.state_resident:
-                layers.append(impl.zeros_cache(self.config, batch_size))
-            else:
-                layers.append(LayerCache.zeros(self.config, batch_size))
-        return InferenceCache(layers=layers)
+                layer.ssm_state = impl.quantize_state_codes(layer.ssm_state)
+        return cache
 
     def prefill(
         self,

@@ -158,19 +158,36 @@ def compute_scales(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
 
 
 def quantize(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
-    """Quantize ``x`` to integer codes under ``config``."""
+    """Quantize ``x`` to integer codes under ``config``.
+
+    Non-finite input poisons its whole group (or channel / tensor, per the
+    granularity): the group's scale becomes non-finite and its codes are
+    defined as 0.  The poison therefore stays in the scale -- :func:`dequantize`
+    still reconstructs non-finite values for that group -- while every other
+    group quantizes exactly as it would alone.
+    """
     x = np.asarray(x, dtype=np.float64)
     scales = compute_scales(x, config)
     spec = config.spec
 
-    if config.granularity is Granularity.PER_GROUP:
-        grouped, _, pad = _group_reshape(x, config.group_size)
-        codes = np.clip(np.round(grouped / scales), spec.qmin, spec.qmax)
-        codes = codes.reshape(*grouped.shape[:-2], -1)
+    per_group = config.granularity is Granularity.PER_GROUP
+    if per_group:
+        values, _, pad = _group_reshape(x, config.group_size)
+    else:
+        values, pad = x, 0
+    # Test the small scales array first, so finite inputs never touch the
+    # poisoned-group path (which divides by a placeholder scale of 1 to keep
+    # inf / inf and NaN codes out of the integer cast).
+    finite = np.isfinite(scales)
+    if finite.all():
+        codes = np.clip(np.round(values / scales), spec.qmin, spec.qmax)
+    else:
+        codes = np.round(values / np.where(finite, scales, 1.0))
+        codes = np.where(finite, np.clip(codes, spec.qmin, spec.qmax), 0.0)
+    if per_group:
+        codes = codes.reshape(*values.shape[:-2], -1)
         if pad:
             codes = codes[..., : x.shape[-1]]
-    else:
-        codes = np.clip(np.round(x / scales), spec.qmin, spec.qmax)
     return QuantizedTensor(
         codes=codes.astype(np.int32), scales=scales, config=config, shape=x.shape
     )

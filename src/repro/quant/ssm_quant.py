@@ -31,11 +31,11 @@ float scales:
 
 - ``persistent_state=True`` keeps the recurrent state ``h`` resident as INT
   codes + PoT scales between decode steps (a
-  :class:`~repro.mamba.cache.QuantizedSSMState` inside a
-  :class:`~repro.mamba.cache.QuantizedLayerCache`).  With it, the decode
-  step runs the **all-integer iteration**: x/B/C are quantized once at the
-  in-projection boundary and from there to the readout no float tensor is
-  materialized.  The ``Delta (.) B``, ``A_bar (.) h`` and ``D (.) x``
+  :class:`~repro.mamba.cache.QuantizedSSMState` held as the ``ssm_state``
+  of an ordinary :class:`~repro.mamba.cache.LayerCache`).  With it, the
+  decode step runs the **all-integer iteration**: x/B/C are quantized once
+  at the in-projection boundary and from there to the readout no float
+  tensor is materialized.  The ``Delta (.) B``, ``A_bar (.) h`` and ``D (.) x``
   products fold their per-head float scalar into the re-quantization
   multiplier (a PoT shift plus one scalar multiply on hardware -- the EM
   units of Fig. 3), while the code-by-code products (``B_bar (.) x``,
@@ -75,8 +75,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.mamba.cache import QuantizedLayerCache, QuantizedSSMState
-from repro.mamba.config import Mamba2Config
+from repro.mamba.cache import QuantizedSSMState
 from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, _validate_seq_lens, ssm_decay, ssm_scan
 from repro.quant.dtypes import Granularity, IntSpec
@@ -255,9 +254,11 @@ class QuantizedSSMStep:
         """Whether this step keeps the recurrent state as integer codes.
 
         :meth:`Mamba2Model.new_cache <repro.mamba.model.Mamba2Model.new_cache>`
-        reads this property to decide between a float
-        :class:`~repro.mamba.cache.LayerCache` and an integer-resident
-        :class:`~repro.mamba.cache.QuantizedLayerCache` for the block.
+        reads this property to decide whether the block's
+        :class:`~repro.mamba.cache.LayerCache` holds its ``ssm_state`` as a
+        float array or as a resident
+        :class:`~repro.mamba.cache.QuantizedSSMState` (built with
+        :meth:`quantize_state_codes`).
         """
         return self.config.persistent_state
 
@@ -280,6 +281,10 @@ class QuantizedSSMStep:
         For a state that is already on the PoT grid (every state this class
         ever hands out) the quantization is exact, so converting between the
         float and resident representations never changes the carried values.
+        That includes the all-zero state of a fresh cache: an all-zero group
+        gets zero codes and the quantizer's well-defined minimum scale (see
+        :func:`repro.quant.quantizer.compute_scales`), so it decodes back to
+        exact zeros.
         """
         # quant-point: float state onto the resident codes + scales grid
         qt = quantize(np.asarray(state, dtype=np.float64), self._qcfg)
@@ -288,27 +293,6 @@ class QuantizedSSMStep:
             scales=qt.scales,
             group_size=self.config.group_size,
             bits=self.config.bits,
-        )
-
-    def zeros_cache(  # integer-resident
-        self, config: Mamba2Config, batch_size: Optional[int] = None
-    ) -> QuantizedLayerCache:
-        """A fresh integer-resident layer cache (zero codes, epsilon scales).
-
-        An all-zero state quantizes to all-zero codes with the quantizer's
-        well-defined minimum scale (see :func:`repro.quant.quantizer.compute_scales`
-        and the all-zero-group handling of :func:`repro.quant.pot.pot_quantize_scale`),
-        so the zero cache decodes back to exact zeros.
-        """
-        lead = () if batch_size is None else (batch_size,)
-        state = np.zeros(  # quant-point: zero state buffer, quantized to codes below
-            lead + (config.nheads, config.headdim, config.d_state), dtype=np.float64
-        )
-        return QuantizedLayerCache(
-            conv_state=np.zeros(  # quant-point: conv taps stay float (not SSM-quantized)
-                lead + (config.conv_dim, config.d_conv), dtype=np.float64
-            ),
-            ssm_state=self.quantize_state_codes(state),
         )
 
     def _d_col(self, params: SSMParams) -> np.ndarray:

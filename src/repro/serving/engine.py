@@ -68,7 +68,6 @@ from repro.serving.resilience import (
     ResilienceConfig,
     ResilienceLog,
     StateCorruptionError,
-    cache_unhealthy,
     unhealthy_rows,
 )
 from repro.serving.scheduler import (
@@ -318,28 +317,21 @@ class InferenceEngine:
     seed:
         Base seed for sampled requests that do not carry their own ``seed``
         (request ``i`` then uses ``seed + i``).
-    prefill_chunk_tokens:
-        Back-compat shorthand for ``scheduler=FIFOScheduler(prefill_chunk_tokens=...)``:
-        bounds how many *prompt* tokens the engine processes per iteration
-        (chunked-prefill admission).  A long prompt is then prefilled across
-        several engine steps -- its slot is reserved but in-flight decodes
-        keep advancing every step, so one huge prompt can no longer stall the
-        running batch.  ``None`` (default) prefills each admitted prompt in
-        full at admission time.  For FP models chunked admission is exact
-        regardless of the segment size.  For a quantized chunk-parallel model
-        (lightmamba*), segmentation that lands on the model's ``chunk_size``
-        boundaries is bit-exact with a one-shot prefill (the PoT state
-        re-quantization is idempotent on chunk-aligned states); a
-        chunk-aligned budget keeps a request's segments aligned *when it has
-        the iteration's budget to itself*, but leftover budget shared with
-        another request in the same iteration can still produce an unaligned
-        segment, which shifts that prompt's state-quantization points by
-        quantization-noise scale (an approximation, not an error).
     scheduler:
         The admission policy (see :mod:`repro.serving.scheduler`).  Defaults
-        to :class:`~repro.serving.scheduler.FIFOScheduler`, which reproduces
-        the pre-scheduler engine bit-for-bit.  Mutually exclusive with
-        ``prefill_chunk_tokens``.
+        to :class:`~repro.serving.scheduler.FIFOScheduler`, which prefills
+        each admitted prompt in full at admission time.  A policy with a
+        prompt-token budget (e.g. ``FIFOScheduler(prefill_chunk_tokens=n)``)
+        spreads a long prompt over several engine steps -- its slot is
+        reserved while in-flight decodes keep advancing, so one huge prompt
+        cannot stall the running batch.  Chunked admission is exact for FP
+        models.  For a quantized chunk-parallel model (lightmamba*), segments
+        aligned to the model's ``chunk_size`` are bit-exact with a one-shot
+        prefill (PoT state re-quantization is idempotent on chunk-aligned
+        states); an unaligned segment, e.g. from budget shared with another
+        request in the same iteration, shifts that prompt's
+        state-quantization points by quantization-noise scale (an
+        approximation, not an error).
     clock:
         Time source for the request queue (arrival stamps, deadlines).
         Defaults to :func:`time.monotonic`; tests inject a fake clock.
@@ -362,7 +354,6 @@ class InferenceEngine:
         model: Mamba2Model,
         max_batch_size: int = 8,
         seed: int = 0,
-        prefill_chunk_tokens: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
         clock: Optional[Clock] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -370,16 +361,10 @@ class InferenceEngine:
     ):
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if scheduler is not None and prefill_chunk_tokens is not None:
-            raise ValueError("pass prefill_chunk_tokens or scheduler, not both")
         self.model = model
         self.max_batch_size = max_batch_size
         self.seed = seed
-        self.scheduler: Scheduler = (
-            scheduler
-            if scheduler is not None
-            else FIFOScheduler(prefill_chunk_tokens=prefill_chunk_tokens)
-        )
+        self.scheduler: Scheduler = scheduler if scheduler is not None else FIFOScheduler()
         self.stats = EngineStats()
         self.queue = RequestQueue() if clock is None else RequestQueue(clock=clock)
         self._submit_lock = threading.Lock()
@@ -414,11 +399,6 @@ class InferenceEngine:
     @property
     def _supervised(self) -> bool:
         return self.resilience is not None
-
-    @property
-    def prefill_chunk_tokens(self) -> Optional[int]:
-        """The FIFO policy's chunk budget, if the scheduler has one."""
-        return getattr(self.scheduler, "prefill_chunk_tokens", None)
 
     # ------------------------------------------------------------------
     # Request lifecycle
@@ -973,7 +953,7 @@ class InferenceEngine:
                 )
                 with guard:
                     logits, _ = self._model_call("prefill", [request_id], call)
-                if not np.isfinite(logits).all() or cache_unhealthy(progress.cache):
+                if not np.isfinite(logits).all() or progress.cache.nonfinite_rows().any():
                     raise StateCorruptionError(
                         f"non-finite state or logits after prefill of request "
                         f"{request_id}"
@@ -1099,7 +1079,7 @@ class InferenceEngine:
         and enters the retry loop (:meth:`_retry_recoveries`) or is
         quarantined once its attempt budget is exhausted.
         """
-        snapshot = self._cache.snapshot_rows(slot_indices)
+        snapshot = self._cache.gather(slot_indices)
         self._record_snapshot(snapshot)
         failures: List[Tuple[int, BaseException]] = []
 
@@ -1192,7 +1172,7 @@ class InferenceEngine:
         # The committed row never saw the failed call (it ran on a working
         # copy), but restore explicitly so the invariant "a faulted slot's
         # state equals its snapshot" holds unconditionally.
-        self._cache.restore_rows([slot_idx], row_snapshot)
+        self._cache.scatter([slot_idx], row_snapshot)
         self.stats.rollbacks += 1
         self._log("rollback", request_id=request_id, site="decode")
         attempts = self._fault_attempts.get(request_id, 0) + 1

@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mamba.cache import InferenceCache, QuantizedSSMState
+from repro.mamba.cache import InferenceCache
 
 __all__ = [
     "FAULT_KINDS",
@@ -48,7 +48,6 @@ __all__ = [
     "ResilienceEvent",
     "ResilienceLog",
     "StateCorruptionError",
-    "cache_unhealthy",
     "unhealthy_rows",
 ]
 
@@ -469,32 +468,9 @@ def unhealthy_rows(cache: InferenceCache, logits: np.ndarray) -> List[int]:
 
     The supervisor's corruption detector: a poisoned row keeps non-finite
     values in its logits or in its post-call state (the conv window rolls the
-    poison along for ``d_conv`` steps; quantized states surface it through
-    their float scales).  Quantization grids are per-row, so poison cannot
-    leak across rows -- attribution is exact.
+    poison along for ``d_conv`` steps; see
+    :meth:`~repro.mamba.cache.InferenceCache.nonfinite_rows`).
     """
     n = logits.shape[0]
-    bad = ~np.isfinite(logits.reshape(n, -1)).all(axis=1)
-    for layer in cache.layers:
-        bad |= ~np.isfinite(layer.conv_state.reshape(n, -1)).all(axis=1)
-        state = layer.ssm_state
-        if isinstance(state, QuantizedSSMState):
-            # Codes are integers (always finite); poison shows in the scales.
-            bad |= ~np.isfinite(state.scales.reshape(n, -1)).all(axis=1)
-        else:
-            bad |= ~np.isfinite(state.reshape(n, -1)).all(axis=1)
+    bad = ~np.isfinite(logits.reshape(n, -1)).all(axis=1) | cache.nonfinite_rows()
     return [int(i) for i in np.nonzero(bad)[0]]
-
-
-def cache_unhealthy(cache: InferenceCache) -> bool:
-    """Whether a single-sequence cache carries non-finite state values."""
-    for layer in cache.layers:
-        if not np.isfinite(layer.conv_state).all():
-            return True
-        state = layer.ssm_state
-        if isinstance(state, QuantizedSSMState):
-            if not np.isfinite(state.scales).all():
-                return True
-        elif not np.isfinite(state).all():
-            return True
-    return False

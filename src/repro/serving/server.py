@@ -92,7 +92,8 @@ class ServerConfig:
 
 
 _REASON = {200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict",
-           431: "Request Header Fields Too Large", 503: "Service Unavailable"}
+           414: "URI Too Long", 431: "Request Header Fields Too Large",
+           503: "Service Unavailable"}
 
 #: Header lines read per request; one more is answered with 431 and a close.
 _MAX_HEADER_LINES = 100
@@ -300,8 +301,16 @@ class MambaServer:
                 writer.close()
                 await writer.wait_closed()
 
+    @staticmethod
+    async def _read_line(reader, status: int, what: str) -> bytes:
+        """One CRLF line; a line over the reader's buffer limit answers ``status``."""
+        try:
+            return await reader.readline()
+        except ValueError:  # asyncio.StreamReader's line-length limit (64 KiB)
+            raise _BadRequest(status, f"{what} exceeds the line length limit") from None
+
     async def _read_request(self, reader):
-        request_line = await reader.readline()
+        request_line = await self._read_line(reader, 414, "request line")
         if not request_line:
             return None
         try:
@@ -310,7 +319,7 @@ class MambaServer:
             return None
         headers: Dict[str, str] = {}
         for _ in range(_MAX_HEADER_LINES + 1):
-            line = await reader.readline()
+            line = await self._read_line(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")

@@ -4,11 +4,12 @@ Pins the PR's contracts:
 
 - persistent-state decode (``SSMQuantConfig.persistent_state``) is
   *bit-identical* to the fake-quant decode under PoT while keeping the
-  recurrent state resident as codes (``QuantizedSSMState`` inside a
-  ``QuantizedLayerCache``);
-- the integer-resident cache survives the full serving lifecycle --
+  recurrent state resident as codes (a ``QuantizedSSMState`` held as the
+  ``ssm_state`` of an ordinary ``LayerCache``);
+- a cache with a resident state survives the full serving lifecycle --
   gather / scatter / stack / row under admission, eviction and
-  preempted-then-resumed prefills -- bit-identically to solo decode;
+  preempted-then-resumed prefills -- bit-identically to solo decode, and
+  refuses float rows written into the resident state;
 - the integer-exact chunk body matches the float chunk body bit-for-bit
   under PoT scales and trips the shared INT32 overflow guard on unsafe
   configurations;
@@ -25,14 +26,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mamba import InitConfig, Mamba2Model, greedy_decode
-from repro.mamba.cache import (
-    InferenceCache,
-    LayerCache,
-    QuantizedLayerCache,
-    QuantizedSSMState,
-)
+from repro.mamba.cache import InferenceCache, LayerCache, QuantizedSSMState
 from repro.mamba.ssm import SSMParams
 from repro.quant import (
     QuantConfig,
@@ -81,18 +79,17 @@ def persistent(tiny_model):
 class TestPersistentDecodeBitIdentity:
     def test_new_cache_is_integer_resident(self, persistent, fake_quant, tiny_model):
         cache = persistent.new_cache(batch_size=3)
-        assert all(isinstance(layer, QuantizedLayerCache) for layer in cache.layers)
+        assert all(isinstance(layer.ssm_state, QuantizedSSMState) for layer in cache.layers)
         state = cache.layers[0].ssm_state
-        assert isinstance(state, QuantizedSSMState)
         assert np.issubdtype(state.codes.dtype, np.integer)
         np.testing.assert_array_equal(state.codes, 0)
         np.testing.assert_array_equal(state.dequantize(), 0.0)
         # Non-persistent models keep the float cache.
         assert all(
-            type(layer) is LayerCache for layer in fake_quant.new_cache().layers
+            isinstance(layer.ssm_state, np.ndarray) for layer in fake_quant.new_cache().layers
         )
         assert all(
-            type(layer) is LayerCache for layer in tiny_model.new_cache().layers
+            isinstance(layer.ssm_state, np.ndarray) for layer in tiny_model.new_cache().layers
         )
 
     @pytest.mark.parametrize("w_bits,a_bits", [(8, 8), (4, 4)])
@@ -190,7 +187,7 @@ class TestQuantizedCacheLifecycle:
         cache = self._batched_cache(persistent)
         rows = [cache.row(i) for i in range(4)]
         stacked = InferenceCache.stack(rows)
-        assert isinstance(stacked.layers[0], QuantizedLayerCache)
+        assert isinstance(stacked.layers[0].ssm_state, QuantizedSSMState)
         for orig, back in zip(cache.layers, stacked.layers):
             np.testing.assert_array_equal(orig.ssm_state.codes, back.ssm_state.codes)
             np.testing.assert_array_equal(orig.ssm_state.scales, back.ssm_state.scales)
@@ -200,7 +197,7 @@ class TestQuantizedCacheLifecycle:
         cache = self._batched_cache(persistent)
         reference = cache.copy()
         swapped = cache.gather([1, 0, 3, 2])
-        assert isinstance(swapped.layers[0], QuantizedLayerCache)
+        assert isinstance(swapped.layers[0].ssm_state, QuantizedSSMState)
         cache.scatter([1, 0, 3, 2], swapped)  # swap back into place
         for orig, now in zip(reference.layers, cache.layers):
             np.testing.assert_array_equal(orig.ssm_state.codes, now.ssm_state.codes)
@@ -273,6 +270,84 @@ class TestQuantizedCacheLifecycle:
             ref = greedy_decode(pers, request.prompt, request.max_new_tokens)
             assert by_id[rid].result.tokens == ref.tokens
             np.testing.assert_allclose(by_id[rid].result.logprobs, ref.logprobs, atol=1e-10)
+
+
+@st.composite
+def _resident_cache_case(draw):
+    """A random resident cache, its float twin, row indices and poison rows."""
+    batch = draw(st.integers(min_value=1, max_value=5))
+    group = draw(st.sampled_from([4, 8, 16]))
+    d_state = draw(st.sampled_from([8, 12, 16]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rows = st.integers(min_value=0, max_value=batch - 1)
+    indices = draw(st.lists(rows, min_size=1, max_size=batch, unique=True))
+    poisoned = draw(st.lists(rows, max_size=batch, unique=True))
+    # Per poisoned row: poison the conv taps (True) or the SSM state (False).
+    in_conv = [draw(st.booleans()) for _ in poisoned]
+    rng = np.random.default_rng(seed)
+    step = QuantizedSSMStep(SSMQuantConfig(group_size=group, persistent_state=True))
+    layers, twins = [], []
+    for _ in range(2):
+        conv = rng.normal(size=(batch, 5, 4))
+        resident = step.quantize_state_codes(rng.normal(size=(batch, 2, 3, d_state)) * 4.0)
+        layers.append(LayerCache(conv, resident))
+        twins.append(LayerCache(conv.copy(), resident.dequantize()))
+    return InferenceCache(layers), InferenceCache(twins), indices, poisoned, in_conv
+
+
+class TestResidentCacheDifferential:
+    """Row operations on a resident cache commute with ``dequantize``."""
+
+    @staticmethod
+    def _assert_twins(resident: InferenceCache, twin: InferenceCache):
+        assert len(resident.layers) == len(twin.layers)
+        for layer, twin_layer in zip(resident.layers, twin.layers):
+            assert isinstance(layer.ssm_state, QuantizedSSMState)
+            assert isinstance(twin_layer.ssm_state, np.ndarray)
+            np.testing.assert_array_equal(layer.conv_state, twin_layer.conv_state)
+            np.testing.assert_array_equal(layer.ssm_state.dequantize(), twin_layer.ssm_state)
+
+    @given(_resident_cache_case())
+    @settings(max_examples=40, deadline=None)
+    def test_row_ops_commute_with_dequantize(self, case):
+        cache, twin, indices, _, _ = case
+        self._assert_twins(cache.gather(indices), twin.gather(indices))
+        for i in indices:
+            self._assert_twins(cache.row(i), twin.row(i))
+        self._assert_twins(
+            InferenceCache.stack([cache.row(i) for i in indices]),
+            InferenceCache.stack([twin.row(i) for i in indices]),
+        )
+        copied, twin_copied = cache.copy(), twin.copy()
+        self._assert_twins(copied, twin_copied)
+        # Scatter a reversed selection back: both caches move the same rows.
+        src, twin_src = cache.gather(indices[::-1]), twin.gather(indices[::-1])
+        cache.scatter(indices, src)
+        twin.scatter(indices, twin_src)
+        self._assert_twins(cache, twin)
+        # The copy is independent of the scattered-into original.
+        for layer in copied.layers:
+            layer.ssm_state.codes[...] = 0
+        self._assert_twins(cache, twin)
+
+    @given(_resident_cache_case())
+    @settings(max_examples=40, deadline=None)
+    def test_nonfinite_rows_flags_exactly_the_poisoned_rows(self, case):
+        cache, twin, _, poisoned, in_conv = case
+        for row, conv in zip(poisoned, in_conv):
+            for layer, twin_layer in zip(cache.layers, twin.layers):
+                if conv:
+                    layer.conv_state[row, 1, 2] = np.nan
+                    twin_layer.conv_state[row, 1, 2] = np.nan
+                else:
+                    layer.ssm_state.scales[row, 0, 1, 0] = np.inf
+                    twin_layer.ssm_state[row, 0, 1, 0] = np.inf
+        expected = np.zeros(cache.batch_size, dtype=bool)
+        expected[poisoned] = True
+        for c in (cache, twin):
+            np.testing.assert_array_equal(c.nonfinite_rows(), expected)
+            for i in range(c.batch_size):
+                np.testing.assert_array_equal(c.row(i).nonfinite_rows(), [expected[i]])
 
 
 class TestZeroGroups:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.mamba import InitConfig, Mamba2Model, get_preset, greedy_decode
 from repro.mamba.cache import InferenceCache
-from repro.serving import BatchedGenerator, InferenceEngine, Request
+from repro.serving import BatchedGenerator, FIFOScheduler, InferenceEngine, Request
 
 
 def _caches_allclose(a: InferenceCache, b: InferenceCache, atol=1e-10):
@@ -175,7 +175,9 @@ class TestServingFastPath:
             for s, b in zip((23, 5, 40, 9), (4, 6, 3, 5))
         ]
         engine = InferenceEngine(
-            tiny_model, max_batch_size=2, prefill_chunk_tokens=prefill_chunk_tokens
+            tiny_model,
+            max_batch_size=2,
+            scheduler=FIFOScheduler(prefill_chunk_tokens=prefill_chunk_tokens),
         )
         completions = engine.run(requests)
         assert [c.request_id for c in completions] == list(range(len(requests)))
@@ -188,7 +190,9 @@ class TestServingFastPath:
         """A long prompt must spread across iterations, not stall decodes."""
         rng = np.random.default_rng(10)
         vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model, max_batch_size=2, prefill_chunk_tokens=4)
+        engine = InferenceEngine(
+            tiny_model, max_batch_size=2, scheduler=FIFOScheduler(prefill_chunk_tokens=4)
+        )
         short = Request(prompt=tuple(rng.integers(0, vocab, size=3)), max_new_tokens=8)
         long = Request(prompt=tuple(rng.integers(0, vocab, size=30)), max_new_tokens=2)
         engine.submit(short)
@@ -214,7 +218,7 @@ class TestServingFastPath:
 
     def test_engine_validation(self, tiny_model):
         with pytest.raises(ValueError):
-            InferenceEngine(tiny_model, prefill_chunk_tokens=0)
+            FIFOScheduler(prefill_chunk_tokens=0)
 
 
 class TestQuantizedBatchedStepping:

@@ -27,7 +27,7 @@ from repro.quant import (
     SSMQuantConfig,
     quantize_model,
 )
-from repro.serving import InferenceEngine, Request
+from repro.serving import FIFOScheduler, InferenceEngine, Request
 
 
 def _scan_inputs(rng, T, h=4, p=8, n=16, lead=()):
@@ -275,7 +275,9 @@ class TestQuantizedServingFastPath:
             Request(prompt=tuple(rng.integers(0, vocab, size=s)), max_new_tokens=b)
             for s, b in zip((70, 5, 130), (3, 4, 2))
         ]
-        engine = InferenceEngine(quantized, max_batch_size=2, prefill_chunk_tokens=chunk)
+        engine = InferenceEngine(
+            quantized, max_batch_size=2, scheduler=FIFOScheduler(prefill_chunk_tokens=chunk)
+        )
         completions = engine.run(requests)
         assert [c.request_id for c in completions] == [0, 1, 2]
         for request, completion in zip(requests, completions):

@@ -1,5 +1,7 @@
 """Tests for the core quantizer, observers, RTN and error metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.quant import (
     PercentileObserver,
     QuantizerConfig,
     compute_scales,
+    dequantize,
     quantization_error,
     quantize,
     quantize_dequantize,
@@ -140,6 +143,35 @@ class TestQuantizerRoundTrip:
             x, QuantizerConfig(spec=INT4, granularity=Granularity.PER_GROUP, group_size=8)
         )
         assert qt.memory_bytes() == pytest.approx(x.size * 0.5 + qt.scales.size * 2)
+
+    @pytest.mark.parametrize("pot_scale", [False, True])
+    def test_non_finite_groups_get_zero_codes(self, pot_scale):
+        """NaN / inf poison only its own group: zero codes, non-finite scale."""
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 32))
+        cfg = QuantizerConfig(
+            spec=INT8, granularity=Granularity.PER_GROUP, group_size=8, pot_scale=pot_scale
+        )
+        clean = quantize(x, cfg)
+        poisoned = x.copy()
+        poisoned[0, 3] = np.nan  # row 0, group 0
+        poisoned[1, 17] = np.inf  # row 1, group 2
+        poisoned[1, 30] = -np.inf  # row 1, group 3
+        bad = np.zeros((2, 4), dtype=bool)
+        bad[0, 0] = bad[1, 2] = bad[1, 3] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qt = quantize(poisoned, cfg)
+        codes = qt.codes.reshape(2, 4, 8)
+        np.testing.assert_array_equal(codes[bad], 0)
+        np.testing.assert_array_equal(codes[~bad], clean.codes.reshape(2, 4, 8)[~bad])
+        assert not np.isfinite(qt.scales[bad]).any()
+        np.testing.assert_array_equal(qt.scales[~bad], clean.scales[~bad])
+        # 0 * inf is numpy's invalid multiply; the poison must still surface.
+        with np.errstate(invalid="ignore"):
+            values = dequantize(qt).reshape(2, 4, 8)
+        assert not np.isfinite(values[bad]).any()
+        np.testing.assert_array_equal(values[~bad], dequantize(clean).reshape(2, 4, 8)[~bad])
 
 
 class TestObservers:

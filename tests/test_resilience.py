@@ -208,26 +208,26 @@ class TestSnapshotRollback:
 
     def test_float_cache_roundtrip(self, tiny_model):
         cache = self._populated_cache(tiny_model)
-        before = cache.snapshot_rows([0, 2])
+        before = cache.gather([0, 2])
         for layer in cache.layers:
             layer.conv_state[0] = np.nan
             layer.ssm_state[2] = -1.0
-        assert not cache.snapshot_rows([0, 2]).state_equal(before)
-        cache.restore_rows([0, 2], before)
-        assert cache.snapshot_rows([0, 2]).state_equal(before)
+        assert not cache.gather([0, 2]).state_equal(before)
+        cache.scatter([0, 2], before)
+        assert cache.gather([0, 2]).state_equal(before)
 
     def test_quantized_cache_roundtrip_is_integer_exact(self, tiny_model):
         model = _star(tiny_model, persistent_state=True)
         cache = self._populated_cache(model)
-        before = cache.snapshot_rows([1])
+        before = cache.gather([1])
         for layer in cache.layers:
             # Corrupt the integer codes themselves: rollback must restore the
             # exact codes and scale exponents, not a requantized lookalike.
             layer.ssm_state.codes[1] ^= 1
             layer.conv_state[1] += 0.5
-        assert not cache.snapshot_rows([1]).state_equal(before)
-        cache.restore_rows([1], before)
-        after = cache.snapshot_rows([1])
+        assert not cache.gather([1]).state_equal(before)
+        cache.scatter([1], before)
+        after = cache.gather([1])
         assert after.state_equal(before)
         for restored, original in zip(after.layers, before.layers):
             assert restored.ssm_state.exact_equal(original.ssm_state)

@@ -162,24 +162,18 @@ class TestPolicyEquivalence:
         _check_matches_solo(tiny_model, completions, requests)
 
     def test_explicit_fifo_is_bit_identical_to_default_engine(self, tiny_model):
-        """FIFOScheduler must reproduce the legacy engine exactly: same
-        completions, same prefill segmentation, same stats trajectory."""
+        """An explicit FIFOScheduler must reproduce the default engine
+        exactly: same completions, same prefill segmentation, same stats
+        trajectory."""
         requests = self._requests(tiny_model)
-        for chunk in (None, 1, 3, 7):
-            legacy = InferenceEngine(
-                tiny_model, max_batch_size=2, prefill_chunk_tokens=chunk
-            )
-            explicit = InferenceEngine(
-                tiny_model,
-                max_batch_size=2,
-                scheduler=FIFOScheduler(prefill_chunk_tokens=chunk),
-            )
-            done_a = legacy.run(requests)
-            done_b = explicit.run(requests)
-            for a, b in zip(done_a, done_b):
-                assert a.result.tokens == b.result.tokens
-                assert a.result.logprobs == b.result.logprobs  # bitwise
-            assert legacy.stats == explicit.stats
+        default = InferenceEngine(tiny_model, max_batch_size=2)
+        explicit = InferenceEngine(tiny_model, max_batch_size=2, scheduler=FIFOScheduler())
+        done_a = default.run(requests)
+        done_b = explicit.run(requests)
+        for a, b in zip(done_a, done_b):
+            assert a.result.tokens == b.result.tokens
+            assert a.result.logprobs == b.result.logprobs  # bitwise
+        assert default.stats == explicit.stats
 
     def test_scheduler_protocol_runtime_checkable(self):
         assert isinstance(FIFOScheduler(), Scheduler)
@@ -187,7 +181,8 @@ class TestPolicyEquivalence:
         assert not isinstance(object(), Scheduler)
 
     def test_engine_rejects_scheduler_and_chunk_tokens(self, tiny_model):
-        with pytest.raises(ValueError):
+        # The chunk budget is a scheduler setting, not an engine argument.
+        with pytest.raises(TypeError):
             InferenceEngine(
                 tiny_model, prefill_chunk_tokens=4, scheduler=FIFOScheduler()
             )
@@ -398,7 +393,9 @@ class TestCancellation:
     def test_cancel_mid_prefill_frees_reserved_slot(self, tiny_model):
         rng = np.random.default_rng(19)
         vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model, max_batch_size=1, prefill_chunk_tokens=4)
+        engine = InferenceEngine(
+            tiny_model, max_batch_size=1, scheduler=FIFOScheduler(prefill_chunk_tokens=4)
+        )
         rid = engine.submit(_mk_request(rng, vocab, 20, 5))
         engine.step()
         assert engine.num_prefilling == 1

@@ -187,6 +187,28 @@ class TestWireProtocol:
             assert "header lines" in payload["error"]
             assert _request_json(handle.host, handle.port, "GET", "/healthz")[0] == 200
 
+    def test_oversized_request_line_answers_414(self, tiny_model):
+        engine = InferenceEngine(tiny_model, max_batch_size=2)
+        with serve_in_thread(engine) as handle:
+            path = b"/" + b"a" * (70 * 1024)
+            status, payload = _raw_exchange(
+                handle.host, handle.port, b"GET " + path + b" HTTP/1.1\r\n\r\n"
+            )
+            assert status == 414
+            assert "request line" in payload["error"]
+            assert _request_json(handle.host, handle.port, "GET", "/healthz")[0] == 200
+
+    def test_oversized_header_line_answers_431(self, tiny_model):
+        engine = InferenceEngine(tiny_model, max_batch_size=2)
+        with serve_in_thread(engine) as handle:
+            header = b"X-Filler: " + b"x" * (70 * 1024) + b"\r\n"
+            status, payload = _raw_exchange(
+                handle.host, handle.port, b"GET /healthz HTTP/1.1\r\n" + header + b"\r\n"
+            )
+            assert status == 431
+            assert "header line" in payload["error"]
+            assert _request_json(handle.host, handle.port, "GET", "/healthz")[0] == 200
+
     def test_bench_step_requires_bench_mode(self, tiny_model):
         engine = InferenceEngine(tiny_model, max_batch_size=2)
         with serve_in_thread(engine) as handle:
