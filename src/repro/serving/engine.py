@@ -41,8 +41,9 @@ integer codes + PoT scales directly), the call runs on a working copy, and on
 failure the faulting request is isolated (direct attribution for detected
 corruption, binary search of the batch for a raising kernel), survivors
 commit bit-exactly, and the culprit retries with capped exponential backoff
--- in place for decode, requeued with its ``prefill_pos`` progress preserved
-for prefill -- until it recovers, degrades to the sequential oracle, or is
+-- in place for decode (a retry is an ordinary supervised decode of the
+restored row), requeued with its ``prefill_pos`` progress preserved for
+prefill -- until it recovers, degrades to the sequential oracle, or is
 quarantined with ``finish_reason="error"``.  See
 ``src/repro/serving/README.md`` for the full state machine.
 """
@@ -266,18 +267,15 @@ class _Slot:
 class _Recovery:
     """A decoding slot held in the supervisor's retry loop.
 
-    The slot's committed cache row still holds the pre-fault state (failed
-    calls run on working copies); ``snapshot`` is the authoritative 1-row
-    checkpoint retries re-derive from, and ``token`` the already-selected
-    (and already streamed / appended) token whose state advance failed.
+    The slot's committed cache row holds the restored pre-fault state; the
+    retry at ``retry_step`` replays ``token`` against it -- the
+    already-selected (and already streamed / appended) token whose state
+    advance failed.
     """
 
-    snapshot: InferenceCache
     token: int
-    attempts: int
     retry_step: int
     corruption: bool = False
-    error: str = ""
 
 
 @dataclass
@@ -461,44 +459,42 @@ class InferenceEngine:
         has already finished, so it keeps its true ``"stop"`` / ``"length"``
         completion, is not retired twice, and ``cancel`` returns ``False``.
         """
+        for slot in self._slots:
+            if slot is not None and slot.request_id == request_id and self._slot_finished(slot):
+                # The request reached its stop token / length budget in this
+                # very iteration and is about to retire with its true finish
+                # reason -- cancelling now would double-retire the slot and
+                # overwrite "stop" with "cancelled".
+                return False
+        dropped = self._drop(request_id)
+        if dropped is None:
+            return False
+        self.stats.cancelled += 1
+        self._pending_completions.append(self._end(request_id, "cancelled", *dropped))
+        return True
+
+    def _drop(self, request_id: int) -> Optional[Tuple[Request, List[int], List[float]]]:
+        """Remove a request from wherever it is; ``None`` if it is nowhere.
+
+        A waiting request leaves the queue (with any parked preempted-prefill
+        progress), an in-flight prefill frees its reserved slot, and a
+        decoding request frees its slot and any retry state.  Returns the
+        request and the tokens / logprobs it generated so far.
+        """
         entry = self.queue.cancel(request_id)
         if entry is not None:
-            # Waiting (possibly with parked preempted-prefill progress).
             self._parked.pop(request_id, None)
-            self._finish(request_id, "cancelled")
-            self.stats.cancelled += 1
-            self._pending_completions.append(
-                self._completion(request_id, entry.request, [], [], "cancelled")
-            )
-            return True
-        for slot_idx, progress in list(self._prefilling.items()):
+            return entry.request, [], []
+        for slot_idx, progress in self._prefilling.items():
             if progress.request_id == request_id:
                 del self._prefilling[slot_idx]
-                self._finish(request_id, "cancelled")
-                self.stats.cancelled += 1
-                self._pending_completions.append(
-                    self._completion(request_id, progress.request, [], [], "cancelled")
-                )
-                return True
+                return progress.request, [], []
         for slot_idx, slot in enumerate(self._slots):
             if slot is not None and slot.request_id == request_id:
-                if self._slot_finished(slot):
-                    # The request reached its stop token / length budget in
-                    # this very iteration and is about to retire with its
-                    # true finish reason -- cancelling now would double-retire
-                    # the slot and overwrite "stop" with "cancelled".
-                    return False
                 self._slots[slot_idx] = None
                 self._recovering.pop(slot_idx, None)
-                self._finish(request_id, "cancelled")
-                self.stats.cancelled += 1
-                self._pending_completions.append(
-                    self._completion(
-                        request_id, slot.request, slot.tokens, slot.logprobs, "cancelled"
-                    )
-                )
-                return True
-        return False
+                return slot.request, slot.tokens, slot.logprobs
+        return None
 
     @staticmethod
     def _slot_finished(slot: _Slot) -> bool:
@@ -506,8 +502,8 @@ class InferenceEngine:
 
         True only inside the window between token selection and retirement
         within one :meth:`step` (a finished slot is freed before the step
-        returns); :meth:`cancel` uses it so the final decode iteration wins
-        the race against a concurrent cancellation.
+        returns); :meth:`cancel` checks it too, so the final decode iteration
+        wins the race against a concurrent cancellation.
         """
         if not slot.tokens:
             return False
@@ -589,10 +585,10 @@ class InferenceEngine:
         (:attr:`RequestLatency.callback_error`), and streaming is disabled
         for that request only.
 
-        Under a resilience supervisor the step additionally retries faulted
-        slots whose backoff has elapsed (before planning, so freed or
-        recovered slots are visible to the scheduler and rejoin decode in the
-        same iteration) and routes decode through the supervised
+        Under a resilience supervisor the step first retries faulted slots
+        whose backoff has elapsed (before planning, so freed or recovered
+        slots are visible to the scheduler and rejoin decode in the same
+        iteration) and routes every decode through the supervised
         snapshot/rollback path.
         """
         self.stats.engine_steps += 1
@@ -601,7 +597,7 @@ class InferenceEngine:
             completions.extend(self._pending_completions)
             self._pending_completions.clear()
         completions.extend(self._expire())
-        if self._supervised and self._recovering:
+        if self._recovering:
             completions.extend(self._retry_recoveries())
         plan = self.scheduler.plan(
             self.queue.entries(engine_step=self.stats.engine_steps), self._context()
@@ -659,12 +655,12 @@ class InferenceEngine:
                 # (including the token just streamed) is already pending;
                 # don't retire it twice or decode it further.
                 continue
-            request = slot.request
-            stopped = request.stop_token is not None and token == request.stop_token
-            done = stopped or len(slot.tokens) >= request.max_new_tokens
-            if done:
+            if self._slot_finished(slot):
+                self._slots[slot_idx] = None
+                self.stats.completed += 1
+                reason = "stop" if token == slot.request.stop_token else "length"
                 completions.append(
-                    self._retire(slot_idx, "stop" if stopped else "length")
+                    self._end(slot.request_id, reason, slot.request, slot.tokens, slot.logprobs)
                 )
             else:
                 survivors.append(row)
@@ -678,17 +674,14 @@ class InferenceEngine:
                 completions.extend(
                     self._supervised_decode(slot_indices, chosen[survivors])
                 )
-            elif len(slot_indices) == self.max_batch_size:
-                # Full batch: every slot survives, so step the slot cache in
-                # place and skip the per-token gather/scatter copies.
-                logits = self.model.step(chosen[survivors], self._cache)
-                self.stats.decode_calls += 1
-                self.stats.decode_call_rows += len(slot_indices)
-                self._pending_logits[slot_indices] = logits
             else:
-                batch = self._cache.gather(slot_indices)
+                # A full batch (every slot survives) steps the slot cache in
+                # place, skipping the per-token gather/scatter copies.
+                full = len(slot_indices) == self.max_batch_size
+                batch = self._cache if full else self._cache.gather(slot_indices)
                 logits = self.model.step(chosen[survivors], batch)
-                self._cache.scatter(slot_indices, batch)
+                if not full:
+                    self._cache.scatter(slot_indices, batch)
                 self.stats.decode_calls += 1
                 self.stats.decode_call_rows += len(slot_indices)
                 self._pending_logits[slot_indices] = logits
@@ -767,41 +760,17 @@ class InferenceEngine:
         generated.  The engine is drained afterwards (``has_work`` is false
         modulo completions already returned).
         """
-        completions: List[Completion] = []
-        if self._pending_completions:
-            completions.extend(self._pending_completions)
-            self._pending_completions.clear()
-        for entry in self.queue.entries():
-            self.queue.cancel(entry.request_id)
-            self._parked.pop(entry.request_id, None)
-            self._finish(entry.request_id, "error")
+        completions = list(self._pending_completions)
+        self._pending_completions.clear()
+        outstanding = (
+            [entry.request_id for entry in self.queue.entries()]
+            + [progress.request_id for progress in self._prefilling.values()]
+            + [slot.request_id for slot in self._slots if slot is not None]
+        )
+        for request_id in outstanding:
             self.stats.aborted += 1
             completions.append(
-                self._completion(
-                    entry.request_id, entry.request, [], [], "error", error=message
-                )
-            )
-        for slot_idx, progress in list(self._prefilling.items()):
-            del self._prefilling[slot_idx]
-            self._finish(progress.request_id, "error")
-            self.stats.aborted += 1
-            completions.append(
-                self._completion(
-                    progress.request_id, progress.request, [], [], "error", error=message
-                )
-            )
-        self._recovering.clear()
-        for slot_idx, slot in enumerate(self._slots):
-            if slot is None:
-                continue
-            self._slots[slot_idx] = None
-            self._finish(slot.request_id, "error")
-            self.stats.aborted += 1
-            completions.append(
-                self._completion(
-                    slot.request_id, slot.request, slot.tokens, slot.logprobs, "error",
-                    error=message,
-                )
+                self._end(request_id, "error", *self._drop(request_id), error=message)
             )
         self._log("abort", detail=message)
         return completions
@@ -809,15 +778,18 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _context(self) -> SchedulerContext:
-        """The engine-state snapshot the scheduler plans against."""
-        free = tuple(
+    def _free_slots(self) -> List[int]:
+        """Slots neither decoding, prefilling nor quarantined, ascending."""
+        return [
             i
             for i in range(self.max_batch_size)
             if self._slots[i] is None
             and i not in self._prefilling
             and i not in self._quarantined_slots
-        )
+        ]
+
+    def _context(self) -> SchedulerContext:
+        """The engine-state snapshot the scheduler plans against."""
         prefilling = tuple(
             PrefillView(
                 slot=slot_idx,
@@ -831,7 +803,7 @@ class InferenceEngine:
         return SchedulerContext(
             engine_step=self.stats.engine_steps,
             max_batch_size=self.max_batch_size,
-            free_slots=free,
+            free_slots=tuple(self._free_slots()),
             prefilling=prefilling,
             num_decoding=self.num_active,
             quarantined_slots=tuple(sorted(self._quarantined_slots)),
@@ -842,11 +814,8 @@ class InferenceEngine:
         completions: List[Completion] = []
         for entry in self.queue.take_expired():
             self._parked.pop(entry.request_id, None)
-            self._finish(entry.request_id, "expired")
             self.stats.expired += 1
-            completions.append(
-                self._completion(entry.request_id, entry.request, [], [], "expired")
-            )
+            completions.append(self._end(entry.request_id, "expired", entry.request))
         return completions
 
     def _apply_plan(self, plan: AdmissionPlan) -> List[Completion]:
@@ -868,14 +837,7 @@ class InferenceEngine:
             if tokens is not None and tokens <= 0:
                 raise ValueError("resume token grants must be positive (or None)")
             completions.extend(self._advance_prefill(slot_idx, tokens))
-        free = [
-            i
-            for i in range(self.max_batch_size)
-            if self._slots[i] is None
-            and i not in self._prefilling
-            and i not in self._quarantined_slots
-        ]
-        free_iter = iter(free)
+        free_iter = iter(self._free_slots())
         for request_id, tokens in plan.admit:
             if request_id not in self.queue:
                 raise ValueError(f"plan admits request {request_id}, which is not queued")
@@ -892,10 +854,7 @@ class InferenceEngine:
             if entry.request.max_new_tokens == 0:
                 # Degenerate request: completes immediately, never holds a slot.
                 self.stats.completed += 1
-                self._finish(request_id, "length")
-                completions.append(
-                    self._completion(request_id, entry.request, [], [], "length")
-                )
+                completions.append(self._end(request_id, "length", entry.request))
                 continue
             try:
                 slot_idx = next(free_iter)
@@ -935,25 +894,16 @@ class InferenceEngine:
             request_id = progress.request_id
             snapshot = progress.cache.copy()
             self._record_snapshot(snapshot)
-            corrupted = self._apply_corruption(
-                "prefill", [request_id], progress.cache
-            )
-            guard = (
-                np.errstate(invalid="ignore", over="ignore")
-                if corrupted
-                else nullcontext()
+            # Graceful degradation: the per-token sequential oracle on the
+            # fake-quant path (no chunked scan, no integer MMU kernels), still
+            # integer-resident at the store.
+            scan_impl = "sequential" if request_id in self._degraded else None
+            call = partial(
+                self.model.prefill, segment, cache=progress.cache, scan_impl=scan_impl
             )
             try:
-                # Graceful degradation: the per-token sequential oracle on the
-                # fake-quant path (no chunked scan, no integer MMU kernels),
-                # still integer-resident at the store.
-                scan_impl = "sequential" if request_id in self._degraded else None
-                call = partial(
-                    self.model.prefill, segment, cache=progress.cache, scan_impl=scan_impl
-                )
-                with guard:
-                    logits, _ = self._model_call("prefill", [request_id], call)
-                if not np.isfinite(logits).all() or progress.cache.nonfinite_rows().any():
+                logits, _ = self._model_call("prefill", [request_id], progress.cache, call)
+                if unhealthy_rows(progress.cache, logits[None]):
                     raise StateCorruptionError(
                         f"non-finite state or logits after prefill of request "
                         f"{request_id}"
@@ -965,10 +915,7 @@ class InferenceEngine:
                     "rollback", request_id=request_id, site="prefill", detail=repr(exc)
                 )
                 return self._handle_prefill_failure(slot_idx, exc)
-            if self._fault_attempts.get(request_id):
-                self.stats.recovered += 1
-                self._fault_attempts[request_id] = 0
-                self._log("recovered", request_id=request_id, site="prefill")
+            self._recovered(request_id, "prefill")
         progress.pos += take
         self.stats.prefill_calls += 1
         self.stats.prefilled_tokens += take
@@ -1010,20 +957,24 @@ class InferenceEngine:
         self.stats.snapshot_rows += rows
         self.stats.snapshot_bytes += snapshot.resident_state_bytes()
 
-    def _model_call(self, site: str, request_ids: List[int], call):
-        """Run one supervised model call: injector hook plus watchdog.
+    def _model_call(self, site: str, request_ids: List[int], cache: InferenceCache, call):
+        """Run one supervised model call on working state ``cache``.
 
-        The injector may stall (advancing an injected clock) or raise before
-        the call; the watchdog then converts a call whose wall time (on the
-        queue's clock) exceeded the budget into an :class:`IterationTimeout`,
-        which flows through the same retry/quarantine path as any failure --
-        a stuck step becomes a timed-out retirement instead of a hung run.
+        The injector may poison ``cache`` rows (:meth:`_apply_corruption`;
+        the call then runs with floating-point warnings silenced), stall
+        (advancing an injected clock) or raise before the call; the watchdog
+        then converts a call whose wall time (on the queue's clock) exceeded
+        the budget into an :class:`IterationTimeout`, which flows through the
+        same retry/quarantine path as any failure -- a stuck step becomes a
+        timed-out retirement instead of a hung run.
         """
+        corrupted = self._apply_corruption(site, request_ids, cache)
         clock = self.queue.clock
         start = clock()
         if self.fault_injector is not None:
             self.fault_injector.on_model_call(site, self.stats.engine_steps, request_ids)
-        result = call()
+        with np.errstate(invalid="ignore", over="ignore") if corrupted else nullcontext():
+            result = call()
         budget = self.resilience.watchdog_budget_s
         if budget is not None:
             elapsed = clock() - start
@@ -1068,15 +1019,15 @@ class InferenceEngine:
     def _supervised_decode(
         self, slot_indices: List[int], tokens: np.ndarray
     ) -> List[Completion]:
-        """Advance surviving slots under the supervisor.
+        """Advance slots (decoding or retrying) under the supervisor.
 
         Snapshots the affected rows, runs the batched decode on a working
         copy, and commits (scatter + pending logits) only healthy, successful
         rows -- so survivors of a faulting batch are bit-identical to a
-        fault-free run by construction.  A raising call is isolated by
-        binary-searching the batch; detected corruption carries its own
-        per-row attribution.  Each faulting slot rolls back to its snapshot
-        and enters the retry loop (:meth:`_retry_recoveries`) or is
+        fault-free run by construction, and a committed retry has recovered.
+        A raising call is isolated by binary-searching the batch; detected
+        corruption carries its own per-row attribution.  Each faulting slot
+        rolls back to its snapshot and enters the retry loop or is
         quarantined once its attempt budget is exhausted.
         """
         snapshot = self._cache.gather(slot_indices)
@@ -1087,19 +1038,13 @@ class InferenceEngine:
             rows = [slot_indices[p] for p in positions]
             request_ids = [self._slots[r].request_id for r in rows]
             batch = snapshot.gather(positions)
-            corrupted = self._apply_corruption("decode", request_ids, batch)
-            guard = (
-                np.errstate(invalid="ignore", over="ignore")
-                if corrupted
-                else nullcontext()
-            )
             try:
-                with guard:
-                    logits = self._model_call(
-                        "decode",
-                        request_ids,
-                        partial(self.model.step, tokens[positions], batch),
-                    )
+                logits = self._model_call(
+                    "decode",
+                    request_ids,
+                    batch,
+                    partial(self.model.step, tokens[positions], batch),
+                )
             except Exception as exc:
                 if len(positions) == 1:
                     failures.append((positions[0], exc))
@@ -1126,6 +1071,9 @@ class InferenceEngine:
                 self._pending_logits[good_rows] = logits[good]
                 self.stats.decode_calls += 1
                 self.stats.decode_call_rows += len(good)
+                for slot_idx in good_rows:
+                    if self._recovering.pop(slot_idx, None) is not None:
+                        self._recovered(self._slots[slot_idx].request_id, "decode")
             for i in sorted(bad):
                 failures.append(
                     (
@@ -1139,62 +1087,34 @@ class InferenceEngine:
         solve(list(range(len(slot_indices))))
         completions: List[Completion] = []
         for position, exc in failures:
-            slot_idx = slot_indices[position]
-            completions.extend(
-                self._register_decode_failure(
-                    slot_idx,
-                    snapshot.gather([position]),
-                    int(tokens[position]),
-                    exc,
-                )
-            )
+            slot_idx, token = slot_indices[position], int(tokens[position])
+            row = snapshot.gather([position])
+            completions.extend(self._register_decode_failure(slot_idx, row, token, exc))
         return completions
 
     def _register_decode_failure(
-        self,
-        slot_idx: int,
-        row_snapshot: InferenceCache,
-        token: int,
-        exc: BaseException,
+        self, slot_idx: int, row_snapshot: InferenceCache, token: int, exc: BaseException
     ) -> List[Completion]:
         """Roll one faulted decode row back and schedule its retry.
 
         The already-selected token stays appended (it was produced from the
-        previous, healthy logits); only the state advance is retried.  The
-        attempt budget spans the request's whole life (shared with prefill
-        faults via ``_fault_attempts``); exhausting it quarantines the
+        previous, healthy logits); only the state advance is retried.
+        Exhausting the attempt budget (:meth:`_charge_fault`) quarantines the
         request immediately.
         """
-        slot = self._slots[slot_idx]
-        request_id = slot.request_id
-        self.stats.faults += 1
-        self._log("fault", request_id=request_id, site="decode", detail=repr(exc))
+        request_id = self._slots[slot_idx].request_id
+        attempts = self._charge_fault(request_id, "decode", exc)
         # The committed row never saw the failed call (it ran on a working
         # copy), but restore explicitly so the invariant "a faulted slot's
-        # state equals its snapshot" holds unconditionally.
+        # state equals its snapshot" -- which the retry re-derives from --
+        # holds unconditionally.
         self._cache.scatter([slot_idx], row_snapshot)
         self.stats.rollbacks += 1
         self._log("rollback", request_id=request_id, site="decode")
-        attempts = self._fault_attempts.get(request_id, 0) + 1
-        self._fault_attempts[request_id] = attempts
-        corruption = isinstance(exc, StateCorruptionError)
-        recovery = self._recovering.get(slot_idx)
-        if recovery is not None:
-            recovery.attempts = attempts
-            recovery.corruption = recovery.corruption or corruption
-            recovery.error = repr(exc)
-        else:
-            recovery = _Recovery(
-                snapshot=row_snapshot,
-                token=token,
-                attempts=attempts,
-                retry_step=0,  # set below (quarantine path never reads it)
-                corruption=corruption,
-                error=repr(exc),
-            )
-            self._recovering[slot_idx] = recovery
+        recovery = self._recovering.setdefault(slot_idx, _Recovery(token, retry_step=0))
+        recovery.corruption = recovery.corruption or isinstance(exc, StateCorruptionError)
         if attempts >= self.resilience.max_attempts:
-            return [self._quarantine_active(slot_idx, exc, recovery.corruption)]
+            return [self._quarantine(slot_idx, request_id, "decode", exc, recovery.corruption)]
         backoff = self.resilience.backoff_iterations(attempts)
         recovery.retry_step = self.stats.engine_steps + backoff
         self.stats.retries += 1
@@ -1209,88 +1129,67 @@ class InferenceEngine:
     def _retry_recoveries(self) -> List[Completion]:
         """Re-attempt faulted decode slots whose backoff has elapsed.
 
-        Runs before planning, so a recovered slot regains pending logits and
-        rejoins the select/decode path in the same iteration, and a
-        quarantined slot is visible as free (or quarantined) to the
-        scheduler.  Retries re-derive from the slot's bit-exact snapshot,
-        feeding the same already-selected token, so a recovered request's
-        stream is identical to a fault-free run.
+        The ready slots replay their already-selected tokens against their
+        restored rows in one :meth:`_supervised_decode` call, so a recovered
+        request's stream is identical to a fault-free run.  Runs before
+        planning: a recovered slot regains pending logits and rejoins the
+        select/decode path in the same iteration, and a quarantined slot is
+        visible as free (or quarantined) to the scheduler.
         """
-        completions: List[Completion] = []
         step_no = self.stats.engine_steps
-        for slot_idx in sorted(self._recovering):
-            recovery = self._recovering[slot_idx]
-            if recovery.retry_step > step_no:
-                continue
-            slot = self._slots[slot_idx]
-            request_id = slot.request_id
-            batch = recovery.snapshot.gather([0])
-            corrupted = self._apply_corruption("decode", [request_id], batch)
-            guard = (
-                np.errstate(invalid="ignore", over="ignore")
-                if corrupted
-                else nullcontext()
-            )
-            token = np.asarray([recovery.token], dtype=np.int64)
-            try:
-                with guard:
-                    logits = self._model_call(
-                        "decode", [request_id], partial(self.model.step, token, batch)
-                    )
-                if unhealthy_rows(batch, logits):
-                    raise StateCorruptionError(
-                        f"non-finite state or logits for request {request_id}"
-                    )
-            except Exception as exc:
-                completions.extend(
-                    self._register_decode_failure(
-                        slot_idx, recovery.snapshot, recovery.token, exc
-                    )
-                )
-                continue
-            self._cache.scatter([slot_idx], batch)
-            self._pending_logits[slot_idx] = logits[0]
-            self.stats.decode_calls += 1
-            self.stats.decode_call_rows += 1
-            del self._recovering[slot_idx]
+        ready = [
+            slot_idx
+            for slot_idx in sorted(self._recovering)
+            if self._recovering[slot_idx].retry_step <= step_no
+        ]
+        if not ready:
+            return []
+        tokens = np.asarray([self._recovering[i].token for i in ready], dtype=np.int64)
+        return self._supervised_decode(ready, tokens)
+
+    def _charge_fault(self, request_id: int, site: str, exc: BaseException) -> int:
+        """Count one failed supervised call; returns the request's attempts.
+
+        The attempt budget spans the request's whole life, shared by prefill
+        requeues and decode retries; a committed call resets it
+        (:meth:`_recovered`).
+        """
+        self.stats.faults += 1
+        self._log("fault", request_id=request_id, site=site, detail=repr(exc))
+        attempts = self._fault_attempts.get(request_id, 0) + 1
+        self._fault_attempts[request_id] = attempts
+        return attempts
+
+    def _recovered(self, request_id: int, site: str) -> None:
+        """A supervised call committed: a faulted request has recovered."""
+        if self._fault_attempts.get(request_id):
             self.stats.recovered += 1
             self._fault_attempts[request_id] = 0
-            self._log("recovered", request_id=request_id, site="decode")
-        return completions
+            self._log("recovered", request_id=request_id, site=site)
 
-    def _quarantine_active(
-        self, slot_idx: int, exc: BaseException, corruption: bool
+    def _quarantine(
+        self, slot_idx: int, request_id: int, site: str, exc: BaseException, corruption: bool
     ) -> Completion:
-        """Retire a decoding slot's request with ``finish_reason="error"``."""
-        slot = self._slots[slot_idx]
-        self._slots[slot_idx] = None
-        self._recovering.pop(slot_idx, None)
-        request_id = slot.request_id
-        self.stats.quarantined += 1
-        self._finish(request_id, "error")
-        if corruption:
-            self._maybe_quarantine_slot(slot_idx)
-        self._log("quarantine", request_id=request_id, site="decode", detail=repr(exc))
-        return self._completion(
-            request_id, slot.request, slot.tokens, slot.logprobs, "error", error=repr(exc)
-        )
+        """Retire a faulted decode or prefill with ``finish_reason="error"``.
 
-    def _maybe_quarantine_slot(self, slot_idx: int) -> None:
-        """Retire a slot from service after an attributed corruption fault.
-
-        Models a bad memory bank: the slot never re-enters the free list the
-        scheduler sees.  At least one slot always stays in service, so the
-        engine can still drain its queue (slowly) under a corruption storm.
+        An attributed corruption also retires the slot from service, modelling
+        a bad memory bank: it never re-enters the scheduler's free list.  At
+        least one slot always stays in service, so the engine can still drain
+        its queue (slowly) under a corruption storm.
         """
-        if not self.resilience.quarantine_slots:
-            return
-        if slot_idx in self._quarantined_slots:
-            return
-        if self.max_batch_size - len(self._quarantined_slots) <= 1:
-            return
-        self._quarantined_slots.add(slot_idx)
-        self.stats.slots_quarantined += 1
-        self._log("slot_quarantine", detail=f"slot {slot_idx}")
+        dropped = self._drop(request_id)
+        self.stats.quarantined += 1
+        if (
+            corruption
+            and self.resilience.quarantine_slots
+            and slot_idx not in self._quarantined_slots
+            and len(self._quarantined_slots) < self.max_batch_size - 1
+        ):
+            self._quarantined_slots.add(slot_idx)
+            self.stats.slots_quarantined += 1
+            self._log("slot_quarantine", detail=f"slot {slot_idx}")
+        self._log("quarantine", request_id=request_id, site=site, detail=repr(exc))
+        return self._end(request_id, "error", *dropped, error=repr(exc))
 
     def _handle_prefill_failure(
         self, slot_idx: int, exc: BaseException
@@ -1306,13 +1205,9 @@ class InferenceEngine:
         fix it) or ``degrade_after`` cumulative failures switch the request
         to the sequential-oracle fallback for all its remaining prefill work.
         """
-        progress = self._prefilling.pop(slot_idx)
+        progress = self._prefilling[slot_idx]
         request_id = progress.request_id
-        self.stats.faults += 1
-        self._log("fault", request_id=request_id, site="prefill", detail=repr(exc))
-        attempts = self._fault_attempts.get(request_id, 0) + 1
-        self._fault_attempts[request_id] = attempts
-        corruption = isinstance(exc, StateCorruptionError)
+        attempts = self._charge_fault(request_id, "prefill", exc)
         if request_id not in self._degraded and (
             isinstance(exc, OverflowError) or attempts >= self.resilience.degrade_after
         ):
@@ -1325,18 +1220,9 @@ class InferenceEngine:
                 detail="sequential-oracle fallback",
             )
         if attempts >= self.resilience.max_attempts:
-            self.stats.quarantined += 1
-            self._finish(request_id, "error")
-            if corruption:
-                self._maybe_quarantine_slot(slot_idx)
-            self._log(
-                "quarantine", request_id=request_id, site="prefill", detail=repr(exc)
-            )
-            return [
-                self._completion(
-                    request_id, progress.request, [], [], "error", error=repr(exc)
-                )
-            ]
+            corruption = isinstance(exc, StateCorruptionError)
+            return [self._quarantine(slot_idx, request_id, "prefill", exc, corruption)]
+        del self._prefilling[slot_idx]
         entry = progress.entry
         entry.prefill_pos = progress.pos
         entry.hold_until_step = (
@@ -1371,7 +1257,20 @@ class InferenceEngine:
         )
         return int(picked[0]), float(logprob[0])
 
-    def _finish(self, request_id: int, reason: str) -> None:
+    def _end(
+        self,
+        request_id: int,
+        reason: str,
+        request: Request,
+        tokens: Sequence[int] = (),
+        logprobs: Sequence[float] = (),
+        error: Optional[str] = None,
+    ) -> Completion:
+        """Stamp a request finished and build its completion.
+
+        Every retirement ends here, once the caller has removed the request
+        from the queue, its prefill or its slot.
+        """
         with self._submit_lock:
             latency = self._latency[request_id]
             latency.finished_step = self.stats.engine_steps
@@ -1379,18 +1278,6 @@ class InferenceEngine:
         # Per-request fault bookkeeping dies with the request.
         self._fault_attempts.pop(request_id, None)
         self._degraded.discard(request_id)
-
-    def _completion(
-        self,
-        request_id: int,
-        request: Request,
-        tokens: List[int],
-        logprobs: List[float],
-        reason: str,
-        error: Optional[str] = None,
-    ) -> Completion:
-        with self._submit_lock:
-            latency = self._latency.get(request_id)
         return Completion(
             request_id=request_id,
             request=request,
@@ -1400,13 +1287,4 @@ class InferenceEngine:
             finish_reason=reason,
             latency=latency,
             error=error,
-        )
-
-    def _retire(self, slot_idx: int, reason: str) -> Completion:
-        slot = self._slots[slot_idx]
-        self._slots[slot_idx] = None
-        self.stats.completed += 1
-        self._finish(slot.request_id, reason)
-        return self._completion(
-            slot.request_id, slot.request, slot.tokens, slot.logprobs, reason
         )

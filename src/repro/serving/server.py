@@ -184,10 +184,15 @@ class MambaServer:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._engine_task
         if self._connections:
-            await asyncio.wait(
+            # Handlers still pending after the grace (e.g. a silent client
+            # parked in readline) are cancelled, not leaked.
+            _, pending = await asyncio.wait(
                 list(self._connections),
                 timeout=max(0.0, deadline - time.monotonic()) + 1.0,
             )
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -293,7 +298,9 @@ class MambaServer:
         except _BadRequest as exc:
             with contextlib.suppress(ConnectionError):
                 await self._send_json(writer, exc.status, {"error": str(exc)})
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.CancelledError):
+            # Only shutdown cancels a handler; it ends like a hang-up, since a
+            # cancelled task makes 3.11's stream done-callback log an error.
             pass
         finally:
             self._connections.discard(task)

@@ -359,6 +359,60 @@ class TestEngineRecovery:
             assert list(c.result.tokens) == reference_tokens[c.request_id]
         assert engine.stats.watchdog_timeouts == 1
 
+    def test_retry_runs_before_token_selection(self, tiny_model):
+        # With the default one-iteration backoff, a retried decode commits
+        # before planning and selection, so the faulted request loses no
+        # iteration: it finishes on the same step as in a fault-free run.
+        def finished_steps(injector):
+            engine = _engine(tiny_model, injector)
+            engine.run(_requests(), max_idle_iterations=50)
+            return [engine.latency(i).finished_step for i in range(4)]
+
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="kernel_raise", step=3, site="decode", request_id=1),)
+        )
+        assert finished_steps(FaultInjector(plan)) == [6, 6, 6, 12]
+        assert finished_steps(None) == [6, 6, 6, 12]
+
+    @staticmethod
+    def _corrupt_two(*extra):
+        return FaultPlan(
+            faults=(
+                FaultSpec(kind="state_corrupt", step=3, site="decode", request_id=0),
+                FaultSpec(kind="state_corrupt", step=3, site="decode", request_id=1),
+            )
+            + extra
+        )
+
+    def test_ready_retries_share_one_decode_call(self, tiny_model, reference_tokens):
+        engine = _engine(tiny_model, FaultInjector(self._corrupt_two()))
+        completions = engine.run(_requests(), max_idle_iterations=50)
+        assert [c.finish_reason for c in completions] == ["length"] * 4
+        for c in completions:
+            assert list(c.result.tokens) == reference_tokens[c.request_id]
+        assert engine.stats.faults == 2
+        # A fault-free run makes 10 decode calls; the corrupted call still
+        # commits its healthy row, and both retries share one more call.
+        assert engine.stats.decode_calls == 11
+        recovered = engine.resilience_log.actions("recovered")
+        assert [(e.step, e.request_id) for e in recovered] == [(4, 0), (4, 1)]
+
+    def test_batched_retry_isolates_a_repeat_fault(self, tiny_model, reference_tokens):
+        plan = self._corrupt_two(
+            FaultSpec(kind="kernel_raise", step=4, site="decode", request_id=0)
+        )
+        engine = _engine(tiny_model, FaultInjector(plan))
+        completions = engine.run(_requests(), max_idle_iterations=50)
+        assert [c.finish_reason for c in completions] == ["length"] * 4
+        for c in completions:
+            assert list(c.result.tokens) == reference_tokens[c.request_id]
+        assert engine.stats.faults == 3
+        log = engine.resilience_log
+        assert [e.step for e in log.actions("isolate")] == [4]
+        # Request 1 commits from the shared retry; request 0 backs off again.
+        recovered = [(e.step, e.request_id) for e in log.actions("recovered")]
+        assert recovered == [(4, 1), (6, 0)]
+
     def test_snapshot_accounting(self, tiny_model):
         engine = _engine(tiny_model)
         engine.run(_requests(n=2))

@@ -412,6 +412,29 @@ class TestGracefulShutdown:
         assert engine.has_work is False
         assert handle.server.finish_reasons == {"length": 2}
 
+    def test_idle_client_does_not_outlive_shutdown(self, tiny_model, caplog):
+        # A client that sends only a request line and goes silent parks its
+        # handler in readline; shutdown must cancel it once the drain grace
+        # expires instead of leaking the task (or blocking in wait_closed).
+        engine = InferenceEngine(tiny_model, max_batch_size=2)
+        config = ServerConfig(drain_grace_s=0.5)
+        with serve_in_thread(engine, config=config) as handle:
+            with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                deadline = time.monotonic() + 5.0
+                while not handle.server._connections and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert len(handle.server._connections) == 1
+                started = time.monotonic()
+                handle.stop(timeout=10.0)
+                assert time.monotonic() - started < config.drain_grace_s + 2.0
+                assert not handle.server._connections
+                try:
+                    assert sock.recv(1) == b""  # the server closed the socket
+                except ConnectionResetError:
+                    pass
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_new_requests_rejected_while_draining(self, tiny_model):
         engine = _bench_engine(tiny_model)
         config = ServerConfig(bench_mode=True, manual_clock_step=1.0, drain_grace_s=5.0)
